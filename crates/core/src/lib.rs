@@ -55,7 +55,7 @@ pub use maximum::{maximum_kplex, MaximumResult};
 pub use pairs::PairMatrix;
 pub use reduce::{ctcp_reduce, CtcpReduction};
 pub use seed::{SeedBuilder, SeedGraph, XOUT_FLAG};
-pub use sink::{ChannelSink, CollectSink, CountSink, FirstN, FnSink, LargestN, PlexSink, SinkFlow};
+pub use sink::{CollectSink, CountSink, FirstN, FnSink, LargestN, PlexSink, SinkFlow};
 pub use stats::SearchStats;
 pub use subtask::collect_subtasks;
 pub use verify::{verify_complete, verify_results, Violation};

@@ -6,9 +6,6 @@
 //! choose whether to count, collect, stream, or stop early.
 
 use kplex_graph::VertexId;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
 
 /// Whether enumeration should continue after a reported plex.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,44 +127,6 @@ impl PlexSink for LargestN {
     }
 }
 
-/// Streams every result over an [`mpsc`](std::sync::mpsc) channel — the network
-/// seam: enumeration workers send, a consumer thread (e.g. a service job
-/// drainer) receives. The sink is `Send` and cheap to clone per worker.
-///
-/// Reporting stops (`SinkFlow::Stop`) when the shared `stop` flag is raised
-/// (cooperative cancellation: a result cap, a client cancel, a deadline) or
-/// when the receiver hung up. The flag is checked *before* sending, so no
-/// result is delivered after cancellation is observed.
-#[derive(Clone, Debug)]
-pub struct ChannelSink {
-    tx: Sender<Vec<VertexId>>,
-    stop: Arc<AtomicBool>,
-}
-
-impl ChannelSink {
-    /// Streams into `tx` until `stop` is raised or the receiver disconnects.
-    pub fn new(tx: Sender<Vec<VertexId>>, stop: Arc<AtomicBool>) -> Self {
-        Self { tx, stop }
-    }
-
-    /// The shared cancellation flag.
-    pub fn stop_flag(&self) -> &Arc<AtomicBool> {
-        &self.stop
-    }
-}
-
-impl PlexSink for ChannelSink {
-    fn report(&mut self, vertices: &[VertexId]) -> SinkFlow {
-        // ordering: the stop flag is a latch polled as a hint; the channel
-        // send supplies the actual synchronization for delivered results.
-        if self.stop.load(Ordering::Relaxed) || self.tx.send(vertices.to_vec()).is_err() {
-            SinkFlow::Stop
-        } else {
-            SinkFlow::Continue
-        }
-    }
-}
-
 /// Adapts a closure into a sink.
 pub struct FnSink<F: FnMut(&[VertexId]) -> SinkFlow>(pub F);
 
@@ -225,27 +184,6 @@ mod tests {
         s.report(&[1, 2]);
         s.report(&[3, 4]);
         assert_eq!(s.plexes, vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
-    }
-
-    #[test]
-    fn channel_sink_streams_until_stopped() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut s = ChannelSink::new(tx, stop.clone());
-        assert_eq!(s.report(&[1, 2]), SinkFlow::Continue);
-        // ordering: single-threaded test; the flag is read on this thread.
-        stop.store(true, Ordering::Relaxed);
-        // No result is delivered once the flag is observed.
-        assert_eq!(s.report(&[3, 4]), SinkFlow::Stop);
-        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![vec![1, 2]]);
-    }
-
-    #[test]
-    fn channel_sink_stops_on_hangup() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut s = ChannelSink::new(tx, Arc::new(AtomicBool::new(false)));
-        drop(rx);
-        assert_eq!(s.report(&[1]), SinkFlow::Stop);
     }
 
     #[test]

@@ -35,10 +35,6 @@ pub struct EngineOptions {
     /// [`SinkFlow::Stop`], so an early-stopping sink halts *all* workers
     /// promptly rather than one.
     pub stop_flag: Option<Arc<AtomicBool>>,
-    /// Pin worker threads to CPUs per the detected topology (socket-fill
-    /// placement, see [`crate::topology`]). Off by default: pinning helps
-    /// a dedicated machine and hurts a time-shared one.
-    pub pin_threads: bool,
     /// Deterministic-scheduler test seam (see [`crate::sched::SchedHook`]);
     /// `None` in production.
     pub sched_hook: Option<SchedHook>,
@@ -58,7 +54,6 @@ impl EngineOptions {
             serial_construction: false,
             single_task_per_seed: false,
             stop_flag: None,
-            pin_threads: false,
             sched_hook: None,
             metrics: None,
         }
@@ -73,7 +68,6 @@ impl std::fmt::Debug for EngineOptions {
             .field("serial_construction", &self.serial_construction)
             .field("single_task_per_seed", &self.single_task_per_seed)
             .field("stop_flag", &self.stop_flag)
-            .field("pin_threads", &self.pin_threads)
             .field("sched_hook", &self.sched_hook.as_ref().map(|_| ".."))
             .field("metrics", &self.metrics)
             .finish()
@@ -260,7 +254,6 @@ fn run_stage<S: PlexSink + Send>(
     let m = sinks.len();
     let (sched, ctxs) = Scheduler::new(SchedConfig {
         workers: m,
-        pin: opts.pin_threads,
         hook: opts.sched_hook.clone(),
         metrics: opts.metrics.clone(),
     });
@@ -291,9 +284,6 @@ fn run_stage<S: PlexSink + Send>(
         {
             join_handles.push(scope.spawn(move || {
                 let wid = ctx.wid();
-                // Attach on the worker thread: CPU pinning (when enabled)
-                // happens here, before the builder/searcher allocations, so
-                // first-touch NUMA policy places them on the local node.
                 let handle = ctx.attach(sched);
                 // Phase 1: construction (when not pre-filled). Worker w
                 // builds every M-th eligible seed and publishes its tasks
@@ -324,7 +314,7 @@ fn run_stage<S: PlexSink + Send>(
                     handle.count_out();
                 }
                 // Phase 2: drain. `next()` finds work (own deque → injector
-                // → peers, same-socket first) and parks while there is
+                // → peers, in rotated order) and parks while there is
                 // none; `None` is the termination handshake (pending == 0).
                 let mut sink = MapSink::new(sink, id_map);
                 let handle = &handle;
@@ -629,17 +619,6 @@ mod tests {
         assert_eq!(stats.seed_graphs, 0, "construction must be skipped");
     }
 
-    /// A [`kplex_core::ChannelSink`] that sleeps briefly per report, so a
-    /// cross-thread cancel reliably lands while the engine is mid-run.
-    struct SlowChannelSink(kplex_core::ChannelSink);
-
-    impl PlexSink for SlowChannelSink {
-        fn report(&mut self, vertices: &[VertexId]) -> SinkFlow {
-            std::thread::sleep(Duration::from_micros(200));
-            self.0.report(vertices)
-        }
-    }
-
     #[test]
     fn channel_sink_cancel_mid_run_stops_early() {
         // Many results (low q) plus a paced sink: the full run would take
@@ -665,9 +644,20 @@ mod tests {
                 received
             })
         };
-        // `mpsc::Sender` is `Sync`, so the factory clones it directly.
+        // Each worker's sink sleeps briefly per report, so the cancel
+        // reliably lands mid-run, and sends nothing once the flag is up.
         let (_, stats) = run_parallel(&g, params, &cfg, &opts, || {
-            SlowChannelSink(kplex_core::ChannelSink::new(tx.clone(), flag.clone()))
+            let (tx, flag) = (tx.clone(), flag.clone());
+            kplex_core::FnSink(move |vertices: &[VertexId]| {
+                std::thread::sleep(Duration::from_micros(200));
+                // ordering: the flag is a latch polled as a hint; the
+                // channel send carries the delivered results.
+                if flag.load(Ordering::Relaxed) || tx.send(vertices.to_vec()).is_err() {
+                    SinkFlow::Stop
+                } else {
+                    SinkFlow::Continue
+                }
+            })
         });
         drop(tx);
         let received = drainer.join().expect("drainer panicked");

@@ -6,8 +6,8 @@
 //! that seed's initial sub-tasks as it goes; all workers concurrently
 //! drain through the work-stealing scheduler ([`sched`]): own deque first
 //! (cache locality: tasks of one deque share a seed subgraph), then the
-//! global injector, then peers — same-socket victims first
-//! ([`topology`]). Idle workers park on a token parker and are woken by
+//! global injector, then peers in an order rotated by the thief's index.
+//! Idle workers park on a token parker and are woken by
 //! the next push (at most one wakeup per push); termination is a
 //! pending==0 handshake, not timed polling.
 //!
@@ -35,10 +35,8 @@
 
 pub mod engine;
 pub mod sched;
-pub mod topology;
 
 pub use engine::{
     par_enumerate_collect, par_enumerate_count, run_parallel, run_parallel_prepared, EngineOptions,
 };
 pub use sched::{SchedEvent, SchedHook, SchedMetrics};
-pub use topology::Topology;

@@ -5,9 +5,9 @@
 //! and how idle workers sleep — while `engine.rs` owns the *enumeration*
 //! half (seeds, searchers, sinks). The topology is crossbeam's: a global
 //! [`Injector`] for initial injection and overflow, one [`Deque`] per
-//! worker with owner-LIFO pop, and peer [`Stealer`]s consulted in
-//! NUMA-aware order ([`Topology::steal_order`]). Idle workers *park* on a
-//! token [`Parker`] instead of sleep-polling.
+//! worker with owner-LIFO pop, and peer [`Stealer`]s consulted in an
+//! order rotated by the thief's index (`steal_order`). Idle workers
+//! *park* on a token [`Parker`] instead of sleep-polling.
 //!
 //! ## The wakeup invariant (no lost wakeups)
 //!
@@ -53,7 +53,6 @@
 //! exits instead of parking. Together: no worker sleeps past termination,
 //! and no worker exits while work can still appear.
 
-use crate::topology::{pin_current_thread, Topology};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use crossbeam::sync::{Parker, Unparker};
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
@@ -63,7 +62,7 @@ use std::sync::Arc;
 /// from the worker thread the event happens on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedEvent {
-    /// Worker `wid` attached to the pool (after any CPU pinning).
+    /// Worker `wid` attached to the pool.
     Registered(usize),
     /// Worker `wid` is committed to parking: its parked bit is set, the
     /// final re-check found nothing, and `park()` is the next call. An
@@ -131,9 +130,6 @@ impl SchedMetrics {
 pub struct SchedConfig {
     /// Number of workers `M`.
     pub workers: usize,
-    /// Pin worker threads to CPUs per the detected topology. Off by
-    /// default: pinning helps a dedicated machine and hurts a shared one.
-    pub pin: bool,
     /// Deterministic-test observation seam; `None` in production.
     pub hook: Option<SchedHook>,
     /// Counter sink; `None` counts into a scheduler-private instance.
@@ -141,15 +137,12 @@ pub struct SchedConfig {
 }
 
 /// The shared half of the scheduler: everything workers reach through a
-/// `&Scheduler` — the injector, peer stealers, the parked mask, `pending`,
-/// and the per-worker steal orders. Created once per stage together with
-/// the per-worker [`WorkerCtx`]s.
+/// `&Scheduler` — the injector, peer stealers, the parked mask and
+/// `pending`. Created once per stage together with the per-worker
+/// [`WorkerCtx`]s.
 pub struct Scheduler<T> {
     injector: Injector<T>,
     stealers: Vec<Stealer<T>>,
-    /// `steal_order[w]` lists every peer of `w` exactly once, same-socket
-    /// victims first (see [`Topology::steal_order`]).
-    steal_order: Vec<Vec<usize>>,
     unparkers: Vec<Unparker>,
     /// Bit `w` of word `w / 64` is set while worker `w` is parked or
     /// committed to parking. Plain atomics — the raw-sync lint bans locks
@@ -161,25 +154,26 @@ pub struct Scheduler<T> {
     metrics: Arc<SchedMetrics>,
 }
 
-/// The private half of one worker: its deque, its parker, and its
-/// placement. Moved into the worker thread and attached there (so that
-/// pinning happens on the right thread, before first-touch allocations).
+/// The private half of one worker: its deque and its parker. Moved into
+/// the worker thread and attached there.
 pub struct WorkerCtx<T> {
     wid: usize,
     deque: Deque<T>,
     parker: Parker,
-    cpu: Option<usize>,
+}
+
+/// The peers worker `wid` of `m` tries to steal from, in order: every
+/// other worker exactly once, rotated by the thief's index so concurrent
+/// thieves fan out over different victims instead of all hammering
+/// worker 0.
+fn steal_order(wid: usize, m: usize) -> impl Iterator<Item = usize> {
+    (1..m).map(move |off| (wid + off) % m)
 }
 
 impl<T> Scheduler<T> {
-    /// Builds a scheduler and its `M` worker contexts. Placement comes
-    /// from [`Topology::detect`]: worker→CPU assignments (used only when
-    /// `cfg.pin`) and socket-aware steal orders (always).
+    /// Builds a scheduler and its `M` worker contexts.
     pub fn new(cfg: SchedConfig) -> (Scheduler<T>, Vec<WorkerCtx<T>>) {
         let m = cfg.workers.max(1);
-        let topo = Topology::detect();
-        let placement = topo.place(m);
-        let steal_order = Topology::steal_order(&placement);
         let deques: Vec<Deque<T>> = (0..m).map(|_| Deque::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let mut unparkers = Vec::with_capacity(m);
@@ -187,17 +181,11 @@ impl<T> Scheduler<T> {
         for (wid, deque) in deques.into_iter().enumerate() {
             let parker = Parker::new();
             unparkers.push(parker.unparker().clone());
-            ctxs.push(WorkerCtx {
-                wid,
-                deque,
-                parker,
-                cpu: cfg.pin.then(|| placement[wid].id),
-            });
+            ctxs.push(WorkerCtx { wid, deque, parker });
         }
         let sched = Scheduler {
             injector: Injector::new(),
             stealers,
-            steal_order,
             unparkers,
             parked: (0..m.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             pending: AtomicUsize::new(0),
@@ -314,16 +302,10 @@ impl<T> WorkerCtx<T> {
         self.wid
     }
 
-    /// Attaches to the scheduler *on the worker thread*: pins the thread
-    /// if placement asked for it (so every later allocation is first-touch
-    /// local), emits [`SchedEvent::Registered`], and returns the handle
-    /// the worker loop drives.
+    /// Attaches to the scheduler *on the worker thread*: emits
+    /// [`SchedEvent::Registered`] and returns the handle the worker loop
+    /// drives.
     pub fn attach(self, sched: &Scheduler<T>) -> WorkerHandle<'_, T> {
-        if let Some(cpu) = self.cpu {
-            // Best-effort: a rejected mask (CPU went offline, cgroup
-            // restriction) falls back to the unpinned behaviour.
-            pin_current_thread(cpu);
-        }
         sched.emit(SchedEvent::Registered(self.wid));
         WorkerHandle { sched, ctx: self }
     }
@@ -351,7 +333,7 @@ impl<'s, T> WorkerHandle<'s, T> {
 
     /// One full find sweep: own deque (LIFO, cache-warm), then the global
     /// injector (batched: spare tasks land on the own deque), then every
-    /// peer in same-socket-first order.
+    /// peer in [`steal_order`].
     fn find(&self) -> Option<T> {
         if let Some(t) = self.ctx.deque.pop() {
             return Some(t);
@@ -366,7 +348,7 @@ impl<'s, T> WorkerHandle<'s, T> {
                 Steal::Empty => break,
             }
         }
-        for &victim in &self.sched.steal_order[self.ctx.wid] {
+        for victim in steal_order(self.ctx.wid, self.sched.stealers.len()) {
             // Bounded retries per victim: a CAS-contended victim must not
             // pin this thief while other deques sit full; the outer idle
             // loop sweeps again.
@@ -502,7 +484,6 @@ mod tests {
     fn config(workers: usize) -> SchedConfig {
         SchedConfig {
             workers,
-            pin: false,
             hook: None,
             metrics: None,
         }
@@ -574,7 +555,6 @@ mod tests {
         });
         let (sched, ctxs) = Scheduler::<u32>::new(SchedConfig {
             workers: 1,
-            pin: false,
             hook: Some(hook),
             metrics: None,
         });
@@ -602,7 +582,6 @@ mod tests {
         let metrics = Arc::new(SchedMetrics::default());
         let (sched, ctxs) = Scheduler::<u32>::new(SchedConfig {
             workers: 2,
-            pin: false,
             hook: None,
             metrics: Some(metrics.clone()),
         });
@@ -622,6 +601,22 @@ mod tests {
         });
         assert!(metrics.injector_steals() > 0);
         assert_eq!(metrics.parks(), metrics.unparks());
+    }
+
+    #[test]
+    fn steal_order_rotation_spreads_thieves() {
+        let orders: Vec<Vec<usize>> = (0..4).map(|w| steal_order(w, 4).collect()).collect();
+        // A pure rotation, so first victims differ.
+        let firsts: Vec<usize> = orders.iter().map(|o| o[0]).collect();
+        assert_eq!(firsts, vec![1, 2, 3, 0]);
+        // Every worker sees every other exactly once.
+        for (w, o) in orders.iter().enumerate() {
+            let mut all = o.clone();
+            all.push(w);
+            all.sort_unstable();
+            assert_eq!(all, vec![0, 1, 2, 3]);
+        }
+        assert_eq!(steal_order(0, 1).count(), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Coordination here uses channels and atomics only: the raw-sync lint
 //! bans `Mutex`/`Condvar` in this crate, tests included.
 
-use kplex_core::{AlgoConfig, ChannelSink, Params, PlexSink, SinkFlow};
+use kplex_core::{AlgoConfig, FnSink, Params, SinkFlow};
 use kplex_graph::{gen, VertexId};
 use kplex_parallel::sched::{SchedConfig, SchedEvent, SchedHook, SchedMetrics, Scheduler};
 use kplex_parallel::{run_parallel, EngineOptions};
@@ -57,7 +57,6 @@ fn parked_workers_wake_on_inject_within_budget() {
     let (hook, park_rx, _parks) = parking_hook();
     let (sched, ctxs) = Scheduler::<u32>::new(SchedConfig {
         workers: WORKERS,
-        pin: false,
         hook: Some(hook),
         metrics: None,
     });
@@ -113,7 +112,6 @@ fn park_inject_stress_10k_rounds() {
     });
     let (sched, ctxs) = Scheduler::<usize>::new(SchedConfig {
         workers: 1,
-        pin: false,
         hook: Some(hook),
         metrics: None,
     });
@@ -163,7 +161,6 @@ fn stop_drain_wakes_all_parked_workers() {
     let (hook, park_rx, _parks) = parking_hook();
     let (sched, ctxs) = Scheduler::<u32>::new(SchedConfig {
         workers: WORKERS,
-        pin: false,
         hook: Some(hook),
         metrics: None,
     });
@@ -207,20 +204,6 @@ fn stop_drain_wakes_all_parked_workers() {
     assert_eq!(sched.pending(), 0);
 }
 
-/// A sink that paces each report, keeping the engine run alive long
-/// enough for the orchestrator to act mid-run.
-struct PacedSink {
-    inner: ChannelSink,
-    pace: Duration,
-}
-
-impl PlexSink for PacedSink {
-    fn report(&mut self, vertices: &[VertexId]) -> SinkFlow {
-        std::thread::sleep(self.pace);
-        self.inner.report(vertices)
-    }
-}
-
 /// Cancellation latency, end to end through the engine: with some workers
 /// parked mid-run (more threads than heavy seeds), raise the job stop
 /// flag and require the whole pool — busy *and* parked workers — to
@@ -252,14 +235,24 @@ fn engine_cancellation_with_parked_workers_quiesces_promptly() {
     opts.sched_hook = Some(hook);
     opts.metrics = Some(metrics.clone());
 
-    let (result_tx, result_rx) = mpsc::channel::<Vec<VertexId>>();
+    let (result_tx, result_rx) = mpsc::channel::<()>();
     let pace = Duration::from_millis(5);
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            let _ = run_parallel(&g, params, &cfg, &opts, || PacedSink {
-                inner: ChannelSink::new(result_tx.clone(), stop.clone()),
-                pace,
+            // Each report is paced, keeping the run alive long enough for
+            // the orchestrator to act mid-run, and announced on a channel.
+            let _ = run_parallel(&g, params, &cfg, &opts, || {
+                let (result_tx, stop) = (result_tx.clone(), stop.clone());
+                FnSink(move |_: &[VertexId]| {
+                    std::thread::sleep(pace);
+                    // ordering: the stop flag is a latch polled as a hint.
+                    if stop.load(Ordering::Relaxed) || result_tx.send(()).is_err() {
+                        SinkFlow::Stop
+                    } else {
+                        SinkFlow::Continue
+                    }
+                })
             });
             let _ = done_tx.send(Instant::now());
         });

@@ -1,16 +1,18 @@
 //! Job lifecycle: specification, state machine, result buffer.
 //!
-//! A job moves `queued → running → done | cancelled | failed`. Results are
-//! buffered (bounded by the job's result cap) under a mutex + condvar so any
-//! number of `STREAM` readers can follow a running job from the beginning
-//! and late subscribers replay everything. Cancellation is cooperative: the
-//! shared [`Job::cancel`] flag is the same `Arc` the engine's workers and
-//! sinks poll, so raising it stops the enumeration mid-task.
+//! A job moves `queued → running → done | cancelled | failed`. The engine's
+//! workers append results straight into the job's buffer (bounded by the
+//! job's result cap, stored flat as a `PlexBuf`) under a mutex + condvar,
+//! so any number of `STREAM` readers can follow a running job from the
+//! beginning and late subscribers replay everything. Cancellation is
+//! cooperative: the shared [`Job::cancel`] flag is the same `Arc` the
+//! engine's workers poll, so raising it stops the enumeration mid-task.
 
 use crate::protocol::JobId;
 use crate::sync::{OrderedCondvar, OrderedGuard, OrderedMutex, Rank};
 use kplex_core::{AlgoConfig, Params, SearchStats};
 use kplex_graph::VertexId;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -146,13 +148,63 @@ pub(crate) enum StopCause {
     Deadline,
 }
 
+/// Plexes stored flat: every plex's vertex ids back to back in one
+/// buffer, plus the offset where each plex ends. A job's result buffer and
+/// a `STREAM` chunk share this layout, so buffering a result grows two
+/// vectors instead of allocating one per plex.
+#[derive(Default)]
+pub(crate) struct PlexBuf {
+    verts: Vec<VertexId>,
+    ends: Vec<usize>,
+}
+
+impl PlexBuf {
+    /// Number of plexes.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Appends one plex.
+    pub(crate) fn push(&mut self, plex: &[VertexId]) {
+        self.verts.extend_from_slice(plex);
+        self.ends.push(self.verts.len());
+    }
+
+    /// Removes every plex, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.verts.clear();
+        self.ends.clear();
+    }
+
+    /// The plexes, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[VertexId]> + '_ {
+        (0..self.len()).map(|i| &self.verts[self.start(i)..self.ends[i]])
+    }
+
+    /// Offset in `verts` where plex `i` starts (`i == len()` gives the
+    /// end of the last plex).
+    fn start(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1]
+        }
+    }
+
+    /// Appends plexes `range` of `src`.
+    fn extend_from(&mut self, src: &PlexBuf, range: Range<usize>) {
+        let base = src.start(range.start);
+        let offset = self.verts.len();
+        self.verts
+            .extend_from_slice(&src.verts[base..src.start(range.end)]);
+        self.ends
+            .extend(src.ends[range].iter().map(|&end| end - base + offset));
+    }
+}
+
 struct Progress {
     state: JobState,
-    results: Vec<Vec<VertexId>>,
-    /// Accounted byte cost of the buffered results (saturating — see
-    /// [`crate::auth::plex_bytes`]); folded into the owning tenant's
-    /// cumulative counter by the terminal hook.
-    result_bytes: u64,
+    results: PlexBuf,
     stats: Option<SearchStats>,
     cache_hit: Option<bool>,
     error: Option<String>,
@@ -161,14 +213,25 @@ struct Progress {
     elapsed: Option<Duration>,
 }
 
+impl Progress {
+    /// Notes why the stop flag is being raised. The first cause wins: a cap
+    /// racing a client cancel must not flip the terminal state.
+    fn note_stop_cause(&mut self, cause: StopCause) {
+        if self.stop_cause.is_none() {
+            self.stop_cause = Some(cause);
+        }
+    }
+}
+
 /// One submitted job. Shared between connection handlers (status, stream,
-/// cancel), the runner executing it, and its drainer thread.
+/// cancel), the runner executing it, its engine workers (which append
+/// results) and, when it has a deadline, its watchdog thread.
 pub struct Job {
     /// Server-assigned id.
     pub id: JobId,
     /// The validated configuration.
     pub spec: JobSpec,
-    /// Cooperative stop flag, plumbed into the engine and its sinks.
+    /// Cooperative stop flag, plumbed into the engine.
     pub cancel: Arc<AtomicBool>,
     /// True when this job was replayed from the journal after a restart
     /// rather than submitted on this server lifetime — surfaced in
@@ -263,15 +326,20 @@ impl Job {
     }
 
     /// Fires the terminal hook. Must be called with the state lock held,
-    /// right after the transition to `state` — before any observer can see
-    /// it — and only from the single place that performed the transition.
-    /// `bytes` is the job's accounted result-byte total, final by now: the
-    /// drainer that feeds `append_result` is joined before `finish`, and
-    /// the other terminal paths buffer nothing further.
-    fn fire_terminal(&self, state: JobState, bytes: u64) {
-        debug_assert!(state.is_terminal());
+    /// right after the transition to a terminal state — before any
+    /// observer can see it — and only from the single place that performed
+    /// the transition. The job's accounted result bytes ([`crate::auth::plex_bytes`] of
+    /// every buffered vertex id) are final by now: the engine, whose
+    /// workers feed `append_result`, has returned before `finish`, and the
+    /// other terminal paths buffer nothing further.
+    fn fire_terminal(&self, p: &Progress) {
+        debug_assert!(p.state.is_terminal());
         if let Some(hook) = &self.on_terminal {
-            hook(self.id, state.label(), bytes);
+            hook(
+                self.id,
+                p.state.label(),
+                crate::auth::plex_bytes(p.results.verts.len()),
+            );
         }
     }
 
@@ -288,8 +356,7 @@ impl Job {
                 "job-progress",
                 Progress {
                     state: JobState::Queued,
-                    results: Vec::new(),
-                    result_bytes: 0,
+                    results: PlexBuf::default(),
                     stats: None,
                     cache_hit: None,
                     error: None,
@@ -329,25 +396,44 @@ impl Job {
         self.lock().state
     }
 
-    /// Appends one streamed result unless the cap is reached; returns the
-    /// buffered count. The caller raises the stop flag at the cap.
-    pub fn append_result(&self, plex: Vec<VertexId>) -> u64 {
+    /// Appends one result unless the cap is reached; returns the buffered
+    /// count. The append that fills the buffer to the cap notes the cap as
+    /// the job's stop cause, so a caller seeing `limit` back only has to
+    /// stop reporting. Called by every engine worker of a running job.
+    pub fn append_result(&self, plex: impl AsRef<[VertexId]>) -> u64 {
         let mut p = self.lock();
         if (p.results.len() as u64) < self.spec.limit {
-            p.result_bytes =
-                crate::auth::add_bytes(p.result_bytes, crate::auth::plex_bytes(plex.len()));
-            p.results.push(plex);
+            p.results.push(plex.as_ref());
+            if p.results.len() as u64 == self.spec.limit {
+                p.note_stop_cause(StopCause::Cap);
+            }
             self.cond.notify_all();
         }
         p.results.len() as u64
     }
 
-    /// Notes why the stop flag is being raised. The first cause wins: a cap
-    /// racing a client cancel must not flip the terminal state.
+    /// Notes why the stop flag is being raised (see
+    /// [`Progress::note_stop_cause`]).
     pub(crate) fn note_stop_cause(&self, cause: StopCause) {
+        self.lock().note_stop_cause(cause);
+    }
+
+    /// The watchdog of a job with a deadline: blocks until the job is
+    /// terminal or `deadline` passes. At the deadline it notes
+    /// [`StopCause::Deadline`] and raises the stop flag, so a job fails at
+    /// its deadline whether or not it is reporting results. It sleeps on
+    /// the job's condvar, which every terminal transition notifies, so it
+    /// returns as soon as the job ends.
+    pub(crate) fn enforce_deadline(&self, deadline: Instant) {
         let mut p = self.lock();
-        if p.stop_cause.is_none() {
-            p.stop_cause = Some(cause);
+        while !p.state.is_terminal() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                p.note_stop_cause(StopCause::Deadline);
+                self.cancel.store(true, Ordering::Release);
+                return;
+            }
+            p = self.cond.wait_timeout(p, left).0;
         }
     }
 
@@ -360,7 +446,7 @@ impl Job {
         if p.state == JobState::Queued {
             p.state = JobState::Cancelled;
             p.elapsed = Some(Duration::ZERO);
-            self.fire_terminal(p.state, p.result_bytes);
+            self.fire_terminal(&p);
             self.cond.notify_all();
         }
     }
@@ -377,7 +463,7 @@ impl Job {
         p.error = error;
         p.stats = Some(stats);
         p.elapsed = p.started.map(|s| s.elapsed());
-        self.fire_terminal(state, p.result_bytes);
+        self.fire_terminal(&p);
         self.cond.notify_all();
     }
 
@@ -392,7 +478,7 @@ impl Job {
         p.state = JobState::Failed;
         p.error = Some(reason);
         p.elapsed = p.started.map(|s| s.elapsed());
-        self.fire_terminal(p.state, p.result_bytes);
+        self.fire_terminal(&p);
         self.cond.notify_all();
     }
 
@@ -417,22 +503,22 @@ impl Job {
         }
     }
 
-    /// Copies results `[from, from + CHUNK)` into `buf`, waiting up to
+    /// Appends results `[from, from + CHUNK)` to `buf`, waiting up to
     /// `wait` for something to happen first. Drives the `STREAM` loop. The
     /// copy is chunked so a late subscriber catching up on a large backlog
-    /// holds the job lock for O(chunk), never O(backlog) — the drainer's
-    /// `append_result` and `STATUS` snapshots stay responsive.
-    pub fn next_results(
+    /// holds the job lock for O(chunk), never O(backlog) — the engine
+    /// workers' `append_result` and `STATUS` snapshots stay responsive.
+    pub(crate) fn next_results(
         &self,
         from: usize,
-        buf: &mut Vec<Vec<VertexId>>,
+        buf: &mut PlexBuf,
         wait: Duration,
     ) -> StreamStep {
         /// Results copied out per lock acquisition.
         const CHUNK: usize = 1024;
-        let copy = |p: &Progress, buf: &mut Vec<Vec<VertexId>>| {
+        let copy = |p: &Progress, buf: &mut PlexBuf| {
             let to = p.results.len().min(from + CHUNK);
-            buf.extend_from_slice(&p.results[from..to]);
+            buf.extend_from(&p.results, from..to);
         };
         let mut p = self.lock();
         if p.results.len() > from {
@@ -521,6 +607,30 @@ mod tests {
     }
 
     #[test]
+    fn watchdog_stops_at_the_deadline_and_leaves_with_the_job() {
+        // A deadline that has passed fails the job, results or not.
+        let job = Job::new(5, spec());
+        job.mark_running();
+        job.enforce_deadline(Instant::now());
+        assert!(job.cancel.load(Ordering::Acquire));
+        job.finish(SearchStats::default());
+        assert_eq!(job.snapshot().state, JobState::Failed);
+
+        // A job that ends first releases its watchdog without a stop: the
+        // terminal transition wakes it long before the deadline.
+        let job = Job::new(6, spec());
+        job.mark_running();
+        let far = Instant::now() + Duration::from_secs(600);
+        std::thread::scope(|scope| {
+            let watchdog = scope.spawn(|| job.enforce_deadline(far));
+            job.finish(SearchStats::default());
+            watchdog.join().expect("watchdog panicked");
+        });
+        assert!(!job.cancel.load(Ordering::Acquire));
+        assert_eq!(job.snapshot().state, JobState::Done);
+    }
+
+    #[test]
     fn recovered_jobs_are_flagged() {
         let job = Job::new_recovered(9, spec());
         assert!(job.recovered);
@@ -530,25 +640,36 @@ mod tests {
 
     #[test]
     fn streaming_replays_and_ends() {
-        let job = Job::new(3, spec());
+        let job = Job::new(3, JobSpec { limit: 4, ..spec() });
         job.mark_running();
         job.append_result(vec![1]);
-        job.append_result(vec![2]);
-        let mut buf = Vec::new();
+        job.append_result(vec![2, 3, 4]);
+        job.append_result(vec![5, 6]);
+        let mut buf = PlexBuf::default();
         assert!(matches!(
             job.next_results(0, &mut buf, Duration::from_millis(1)),
             StreamStep::Items
         ));
-        assert_eq!(buf.len(), 2);
+        assert_eq!(buf.len(), 3);
+        // A read from a non-zero offset starts at that plex's first vertex,
+        // and appending to a non-empty buffer rebases the copied offsets.
+        buf.clear();
+        buf.push(&[9, 9]);
         assert!(matches!(
-            job.next_results(2, &mut buf, Duration::from_millis(1)),
+            job.next_results(1, &mut buf, Duration::from_millis(1)),
+            StreamStep::Items
+        ));
+        let plexes: Vec<&[VertexId]> = buf.iter().collect();
+        assert_eq!(plexes, [&[9, 9][..], &[2, 3, 4], &[5, 6]]);
+        assert!(matches!(
+            job.next_results(3, &mut buf, Duration::from_millis(1)),
             StreamStep::Idle
         ));
         job.finish(SearchStats::default());
-        match job.next_results(2, &mut buf, Duration::from_millis(1)) {
+        match job.next_results(3, &mut buf, Duration::from_millis(1)) {
             StreamStep::Ended(state, total) => {
                 assert_eq!(state, JobState::Done);
-                assert_eq!(total, 2);
+                assert_eq!(total, 3);
             }
             _ => panic!("expected end of stream"),
         }

@@ -8,8 +8,9 @@
 //! skip the load/reduce phase.
 //!
 //! The paper's result sets can exceed 10^9 plexes, so nothing here
-//! materialises results beyond the per-job cap: enumeration feeds a channel
-//! [`kplex_core::ChannelSink`] and the buffer is bounded.
+//! materialises results beyond the per-job cap: the engine's workers
+//! append each result straight into the job's flat buffer and stop the
+//! enumeration once it holds the cap.
 //!
 //! Wire protocol reference: `crates/service/PROTOCOL.md`. Line-delimited
 //! requests (`SUBMIT`, `STATUS`, `STREAM`, `CANCEL`, `LIST`, `STATS`,

@@ -7,10 +7,12 @@
 //!   (full queue → immediate `ERR`, the back-pressure signal);
 //! * a fixed pool of **runner** threads pops jobs and executes them on the
 //!   parallel engine ([`kplex_parallel::run_parallel_prepared`]), each with
-//!   its own per-job thread count;
-//! * per running job, one **drainer** thread pumps the engine's channel
-//!   sink into the job's result buffer, enforcing the result cap and the
-//!   wall-clock deadline by raising the job's stop flag.
+//!   its own per-job thread count; the engine's workers append every
+//!   result straight into the job's buffer and stop the job at its result
+//!   cap;
+//! * only a job with a wall-clock deadline (`timeout-ms`) gets one more
+//!   thread while it runs: a **watchdog** that sleeps until the deadline
+//!   or the job's end, and at the deadline raises the job's stop flag.
 //!
 //! Cancellation (`CANCEL`, cap, deadline) is cooperative end to end: one
 //! `Arc<AtomicBool>` per job is observed by the engine's workers inside the
@@ -33,19 +35,18 @@
 //! behavior.
 
 use crate::cache::{CacheStats, GraphCache};
-use crate::job::{GraphSource, Job, JobSpec, StopCause, StreamStep};
+use crate::job::{GraphSource, Job, JobSpec, PlexBuf, StreamStep};
 use crate::journal::Journal;
 use crate::protocol::{self, JobId, Request, SubmitArgs};
 use crate::sync::{OrderedCondvar, OrderedMutex, Rank};
 use crate::LoadHook;
-use kplex_core::{prepare, ChannelSink, Params, PlexSink, SinkFlow};
+use kplex_core::{prepare, Params, PlexSink, SinkFlow};
 use kplex_graph::io;
 use kplex_parallel::{run_parallel_prepared, EngineOptions, SchedMetrics};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -985,12 +986,12 @@ fn stream_job(
             *journaled = sent;
         }
     };
-    let mut buf = Vec::new();
+    let mut buf = PlexBuf::default();
     loop {
         buf.clear();
         match job.next_results(sent, &mut buf, WAIT_TICK) {
             StreamStep::Items => {
-                for plex in &buf {
+                for plex in buf.iter() {
                     write_line(
                         &mut out,
                         &protocol::render_plex_line(job.id, sent as u64, plex),
@@ -1233,19 +1234,29 @@ fn runner_loop(state: &Arc<SharedState>) {
     }
 }
 
-/// Per-worker engine sink: paces reports (the ops throttle knob) and feeds
-/// the job's streaming channel.
-struct JobSink {
-    inner: ChannelSink,
+/// Per-worker engine sink: paces reports (the ops throttle knob) and
+/// appends each one to the job's result buffer, stopping the enumeration
+/// once the buffer holds the job's `limit` results.
+struct JobSink<'a> {
+    job: &'a Job,
     throttle: Duration,
 }
 
-impl PlexSink for JobSink {
+impl PlexSink for JobSink<'_> {
     fn report(&mut self, vertices: &[u32]) -> SinkFlow {
         if !self.throttle.is_zero() {
             std::thread::sleep(self.throttle);
+            // A cancel or deadline that landed during the pause keeps this
+            // result out of the buffer.
+            if self.job.cancel.load(Ordering::Acquire) {
+                return SinkFlow::Stop;
+            }
         }
-        self.inner.report(vertices)
+        if self.job.append_result(vertices) >= self.job.spec.limit {
+            SinkFlow::Stop
+        } else {
+            SinkFlow::Continue
+        }
     }
 }
 
@@ -1330,15 +1341,22 @@ fn execute(state: &Arc<SharedState>, job: &Arc<Job>) {
         return; // cancelled while queued; the terminal hook journaled it
     }
     state.journal_record(|j| j.record_start(job.id));
-    run_job(state, job);
-}
-
-fn run_job(state: &Arc<SharedState>, job: &Arc<Job>) {
-    let spec = job.spec.clone();
     // The wall-clock deadline covers the whole running phase, including a
     // cold graph load/prepare (which may also wait on the cache's
-    // single-flight lock) — not just the enumeration.
-    let deadline = spec.timeout.map(|t| Instant::now() + t);
+    // single-flight lock) — not just the enumeration. A deadline raised
+    // before the engine starts makes it skip construction. `run_job` always
+    // ends the job terminal, which releases the watchdog.
+    std::thread::scope(|scope| {
+        if let Some(timeout) = job.spec.timeout {
+            let deadline = Instant::now() + timeout;
+            scope.spawn(move || job.enforce_deadline(deadline));
+        }
+        run_job(state, job);
+    });
+}
+
+fn run_job(state: &Arc<SharedState>, job: &Job) {
+    let spec = &job.spec;
     let Some(cfg) = spec.config() else {
         job.fail(format!("unknown algo {:?}", spec.algo));
         return;
@@ -1370,53 +1388,13 @@ fn run_job(state: &Arc<SharedState>, job: &Arc<Job>) {
         }
     };
 
-    let stop = job.cancel.clone();
-    // A deadline that expired during load/prepare pre-raises the flag: the
-    // engine then skips construction and the job finishes `failed`.
-    if deadline.is_some_and(|dl| Instant::now() > dl) {
-        job.note_stop_cause(StopCause::Deadline);
-        stop.store(true, Ordering::Release);
-    }
-    let (tx, rx) = std::sync::mpsc::channel::<Vec<u32>>();
-    // The drainer pumps the channel into the job buffer and enforces the
-    // result cap and the wall-clock deadline by raising the stop flag.
-    let drainer = {
-        let job = job.clone();
-        let stop = stop.clone();
-        std::thread::spawn(move || loop {
-            if let Some(dl) = deadline {
-                if Instant::now() > dl && !stop.load(Ordering::Acquire) {
-                    job.note_stop_cause(StopCause::Deadline);
-                    stop.store(true, Ordering::Release);
-                }
-            }
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(plex) => {
-                    if job.append_result(plex) >= job.spec.limit && !stop.load(Ordering::Acquire) {
-                        job.note_stop_cause(StopCause::Cap);
-                        stop.store(true, Ordering::Release);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        })
-    };
-
     let mut opts = EngineOptions::with_threads(spec.threads);
     opts.timeout = spec.tau;
-    opts.stop_flag = Some(stop.clone());
+    opts.stop_flag = Some(job.cancel.clone());
     opts.metrics = Some(state.sched_metrics.clone());
-    // `mpsc::Sender` is `Sync` (channels are lock-free internally), so the
-    // per-worker sink factory clones it directly from the shared reference.
-    let (sinks, stats) = run_parallel_prepared(&prep, spec.params, &cfg, &opts, || JobSink {
-        inner: ChannelSink::new(tx.clone(), stop.clone()),
+    let (_, stats) = run_parallel_prepared(&prep, spec.params, &cfg, &opts, || JobSink {
+        job,
         throttle: spec.throttle,
     });
-    // Every sender must die — the factory's and each worker sink's clone —
-    // before the channel disconnects and the drainer exits.
-    drop(sinks);
-    drop(tx);
-    let _ = drainer.join();
     job.finish(stats);
 }

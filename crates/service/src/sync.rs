@@ -24,7 +24,7 @@
 //! | 30 | `ServerConns` (`server.rs` open connections) | registering/severing sockets at teardown |
 //! | 40 | `ServerQueue` (`server.rs` admission queue + reservation count) | admission control and runner dispatch |
 //! | 50 | `ServerJobs` (`server.rs` job table) | the submit path holds `ServerQueue` while inserting here (two-phase admission), hence Queue < Jobs |
-//! | 60 | `JobProgress` (`job.rs` per-job state) | the submit path inspects per-job state (eviction filter) under `ServerJobs`, hence Jobs < Progress |
+//! | 60 | `JobProgress` (`job.rs` per-job state) | the submit path inspects per-job state (eviction filter) under `ServerJobs`, hence Jobs < Progress; engine workers (appending results) and a deadline watchdog take it holding no other lock |
 //! | 70 | `CacheInner` (`cache.rs` graph-cache slots) | single-flight bookkeeping; builds run with the lock released |
 //! | 80 | `JournalDelivered` (`journal.rs` delivered-offset map) | terminal hooks journal under `JobProgress`, hence Progress < Journal* |
 //! | 90 | `JournalFile` (`journal.rs` append handle) | the delivered map is consulted before appending, hence Delivered < File |

@@ -1,8 +1,8 @@
 //! End-to-end tests over real TCP connections: concurrent jobs, mid-stream
 //! cancellation, the prepared-graph cache (including per-entry
-//! single-flight under a deterministically blocked cold load), deadlines,
-//! throttling, queue back-pressure, and error paths. Counts are
-//! cross-checked against in-process `CountSink` runs.
+//! single-flight under a deterministically blocked cold load), deadlines
+//! (with and without results), throttling, queue back-pressure, and error
+//! paths. Counts are cross-checked against in-process `CountSink` runs.
 //!
 //! Every server binds port 0 and the tests read the resolved address back,
 //! so parallel test runs can never collide on a port.
@@ -159,20 +159,28 @@ fn concurrent_jobs_cancel_and_warm_cache() {
     handle.shutdown();
 }
 
+/// The cap holds exactly at the server's default thread count and with
+/// four engine workers appending into the buffer concurrently.
 #[test]
 fn result_cap_truncates_the_stream() {
     let total = ground_truth("jazz", 2, 8);
     assert!(total > 5);
     let handle = start_server(1, 8);
     let mut c = Client::connect(handle.addr()).expect("connect");
-    let mut args = SubmitArgs::dataset("jazz", 2, 8);
-    args.limit = Some(5);
-    let id = c.submit(&args).expect("submit");
-    let mut streamed = 0u64;
-    let end = c.stream(id, |_, _| streamed += 1).expect("stream");
-    // A capped job still finishes as done — truncated, not failed.
-    assert_eq!(end.get("state").map(String::as_str), Some("done"));
-    assert_eq!(streamed, 5, "the cap bounds the buffered results exactly");
+    for threads in [None, Some(4)] {
+        let mut args = SubmitArgs::dataset("jazz", 2, 8);
+        args.limit = Some(5);
+        args.threads = threads;
+        let id = c.submit(&args).expect("submit");
+        let mut streamed = 0u64;
+        let end = c.stream(id, |_, _| streamed += 1).expect("stream");
+        // A capped job still finishes as done — truncated, not failed.
+        assert_eq!(end.get("state").map(String::as_str), Some("done"));
+        assert_eq!(
+            streamed, 5,
+            "the cap bounds the buffered results exactly (threads={threads:?})"
+        );
+    }
     handle.shutdown();
 }
 
@@ -237,6 +245,55 @@ fn deadline_fails_a_slow_job() {
         "STATUS must carry the deadline error: {status:?}"
     );
     handle.shutdown();
+}
+
+/// The deadline path of a job that reports nothing: enforcement must not
+/// depend on results arriving. G(400, 0.35) holds no 2-plex of 12 or more
+/// vertices, but proving that takes seconds of search even in release
+/// builds, so only the deadline can end this job within the bound.
+#[test]
+fn deadline_fails_a_job_without_results() {
+    use std::time::{Duration, Instant};
+    let path = std::env::temp_dir().join(format!(
+        "kplex-deadline-no-results-{}.txt",
+        std::process::id()
+    ));
+    let g = kplex_graph::gen::gnp(400, 0.35, 1);
+    let file = std::fs::File::create(&path).expect("create graph file");
+    kplex_graph::io::write_edge_list(&g, std::io::BufWriter::new(file)).expect("write graph");
+    let handle = start_server(1, 8);
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let args = SubmitArgs {
+        path: Some(path.to_string_lossy().into_owned()),
+        k: 2,
+        q: 12,
+        threads: Some(2),
+        timeout_ms: Some(50),
+        ..SubmitArgs::default()
+    };
+    let submitted = Instant::now();
+    let id = c.submit(&args).expect("submit");
+    let mut streamed = 0u64;
+    let end = c.stream(id, |_, _| streamed += 1).expect("stream");
+    let took = submitted.elapsed();
+    assert_eq!(
+        end.get("state").map(String::as_str),
+        Some("failed"),
+        "deadline must fail the job: {end:?}"
+    );
+    assert_eq!(streamed, 0, "the instance has no results to stream");
+    assert!(
+        took < Duration::from_secs(5),
+        "a 50ms deadline ended the job only after {took:?}"
+    );
+    let status = c.status(id).expect("status");
+    assert_eq!(
+        status.get("error").map(String::as_str),
+        Some("deadline_exceeded"),
+        "STATUS must carry the deadline error: {status:?}"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The throttle path: with one engine thread, every reported result sleeps

@@ -192,7 +192,6 @@ mod task_conservation {
     fn run_parallel_tree(root_count: u64, seed: u64, threads: usize) -> (u64, usize) {
         let (sched, ctxs) = Scheduler::<Node>::new(SchedConfig {
             workers: threads,
-            pin: false,
             hook: None,
             metrics: None,
         });
