@@ -7,14 +7,15 @@ use std::collections::BTreeMap;
 #[derive(Debug, Default)]
 pub struct Args {
     positional: Vec<String>,
-    options: BTreeMap<String, Vec<String>>,
+    options: BTreeMap<String, String>,
     consumed: std::cell::RefCell<Vec<String>>,
 }
 
 impl Args {
     /// Splits `argv` into positionals and options. A token starting with
     /// `--` consumes the next token as its value unless that token is itself
-    /// an option or missing (then it is a boolean flag).
+    /// an option or missing (then it is a boolean flag). A repeated option
+    /// keeps its last value.
     pub fn parse(argv: &[String]) -> Args {
         let mut a = Args::default();
         let mut i = 0;
@@ -22,12 +23,11 @@ impl Args {
             let tok = &argv[i];
             if let Some(key) = tok.strip_prefix("--") {
                 let takes_value = i + 1 < argv.len() && !argv[i + 1].starts_with("--");
-                let entry = a.options.entry(key.to_string()).or_default();
                 if takes_value {
-                    entry.push(argv[i + 1].clone());
+                    a.options.insert(key.to_string(), argv[i + 1].clone());
                     i += 2;
                 } else {
-                    entry.push(String::new());
+                    a.options.insert(key.to_string(), String::new());
                     i += 1;
                 }
             } else {
@@ -43,28 +43,11 @@ impl Args {
         &self.positional
     }
 
-    /// Every occurrence of a repeatable option, in order (empty when the
-    /// option is absent; bare-flag occurrences contribute empty strings and
-    /// are filtered out).
-    pub fn get_all(&self, key: &str) -> Vec<&str> {
-        self.consumed.borrow_mut().push(key.to_string());
-        self.options
-            .get(key)
-            .map(|v| {
-                v.iter()
-                    .map(String::as_str)
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// String option (last occurrence wins).
     pub fn get(&self, key: &str) -> Option<&str> {
         self.consumed.borrow_mut().push(key.to_string());
         self.options
             .get(key)
-            .and_then(|v| v.last())
             .map(String::as_str)
             .filter(|s| !s.is_empty())
     }
@@ -130,15 +113,6 @@ mod tests {
         let a = args(&[]);
         assert_eq!(a.get_parse::<usize>("threads", 4).unwrap(), 4);
         assert!(a.require::<usize>("k").is_err());
-    }
-
-    #[test]
-    fn repeatable_options_collect_in_order() {
-        let a = args(&["route", "--backend", "h1:1", "--backend", "h2:2"]);
-        assert_eq!(a.get_all("backend"), vec!["h1:1", "h2:2"]);
-        assert!(a.reject_unknown().is_ok());
-        let a = args(&[]);
-        assert!(a.get_all("backend").is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use kplex_core::{CountSink, FnSink, Params, SinkFlow};
 use kplex_datasets::all_datasets;
 use kplex_graph::{io, CsrGraph, GraphStats};
 use kplex_parallel::{par_enumerate_count, EngineOptions};
-use kplex_service::{Client, RouterConfig, ServerConfig, SubmitArgs};
+use kplex_service::{Client, SubmitArgs};
 use std::io::Write;
 use std::time::Instant;
 
@@ -22,13 +22,6 @@ USAGE:
   kplex stats     (--input FILE | --dataset NAME)
   kplex generate  --dataset NAME --output FILE
   kplex convert   (--input FILE | --dataset NAME) --output FILE.kpx
-  kplex serve     [--addr HOST:PORT] [--runners N] [--queue-cap N]
-                  [--cache-cap N] [--threads N] [--store KIND] [--retain N]
-                  [--journal PATH] [--delivery-batch N] [--principals FILE]
-  kplex route     [--addr HOST:PORT] --backend HOST:PORT [--backend ...]
-                  [--probe-ms N] [--probe-timeout-ms N]
-                  [--probe-fails N] [--probe-rises N] [--replicas N]
-                  [--principals FILE]
   kplex submit    --addr HOST:PORT --k K --q Q
                   (--dataset NAME | --input FILE) [--threads N] [--algo ALGO]
                   [--store KIND] [--limit N] [--timeout-ms N]
@@ -55,18 +48,15 @@ OPTIONS:
   --limit N        stop after N results
 
 `convert` writes a graph into the chunked `.kpx` on-disk format that the
-mmap store serves without loading the graph into RAM;
-`serve` runs the kplexd job server in-process (`--journal` makes accepted
-jobs survive a restart); `route` runs the kplexr shard router over one or
-more kplexd backends (`--probe-ms 0` disables its health prober); `submit`
-sends a job to a running server or router and streams its results (see
-crates/service/PROTOCOL.md).
+mmap store serves without loading the graph into RAM; `submit` sends a job
+to a running `kplexd` server or `kplexr` router and streams its results
+(see crates/service/PROTOCOL.md).
 
-`--principals FILE` enables multi-tenancy (a passwd-style file of
-token:name:weight:max-queued:max-running:flags lines, see PROTOCOL.md
-\"Authentication & quotas\"); against such a server `submit` needs
---token TOKEN, and `auth check` verifies a token and prints its principal
-without submitting anything.
+Against a server started with `--principals FILE` (multi-tenancy: a
+passwd-style file of token:name:weight:max-queued:max-running:flags lines,
+see PROTOCOL.md \"Authentication & quotas\") `submit` needs --token TOKEN,
+and `auth check` verifies a token and prints its principal without
+submitting anything.
 
 EXIT CODES: 0 success, 1 runtime failure, 2 usage error (bad arguments).
 ";
@@ -125,8 +115,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
         "stats" => cmd_stats(&args),
         "generate" => cmd_generate(&args),
         "convert" => cmd_convert(&args),
-        "serve" => cmd_serve(&args),
-        "route" => cmd_route(&args),
         "submit" => cmd_submit(&args),
         "auth" => cmd_auth(&args),
         "datasets" => cmd_datasets(&args),
@@ -410,118 +398,6 @@ fn cmd_convert(args: &Args) -> Result<(), CliError> {
         store.num_edges(),
     );
     Ok(())
-}
-
-/// Runs the kplexd job server in-process (same engine, same protocol as the
-/// standalone `kplexd` binary).
-fn cmd_serve(args: &Args) -> Result<(), CliError> {
-    let mut cfg = ServerConfig::default();
-    if let Some(addr) = args.get("addr") {
-        cfg.addr = addr.to_string();
-    }
-    cfg.runners = args.get_parse("runners", cfg.runners).map_err(usage)?;
-    cfg.queue_cap = args.get_parse("queue-cap", cfg.queue_cap).map_err(usage)?;
-    cfg.cache_cap = args.get_parse("cache-cap", cfg.cache_cap).map_err(usage)?;
-    cfg.default_threads = args
-        .get_parse("threads", cfg.default_threads)
-        .map_err(usage)?;
-    if let Some(s) = args.get("store") {
-        cfg.default_store = kplex_graph::StoreKind::parse(s)
-            .ok_or_else(|| usage(format!("invalid --store {s:?} (csr, compressed or mmap)")))?;
-    }
-    cfg.retain_terminal = args
-        .get_parse("retain", cfg.retain_terminal)
-        .map_err(usage)?;
-    cfg.journal = args.get("journal").map(std::path::PathBuf::from);
-    cfg.delivery_batch = args
-        .get_parse("delivery-batch", cfg.delivery_batch)
-        .map_err(usage)?;
-    if let Some(path) = args.get("principals") {
-        cfg.principals = Some(
-            kplex_service::PrincipalStore::load(std::path::Path::new(path))
-                .map_err(|e| CliError::Runtime(format!("--principals: {e}")))?,
-        );
-    }
-    args.reject_unknown().map_err(usage)?;
-    let server = kplex_service::Server::bind(&cfg)
-        .map_err(|e| CliError::Runtime(format!("cannot bind {}: {e}", cfg.addr)))?;
-    let addr = server
-        .local_addr()
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    eprintln!(
-        "# kplexd listening on {addr} ({} runners, queue {}, cache {}, journal {})",
-        cfg.runners,
-        cfg.queue_cap,
-        cfg.cache_cap,
-        cfg.journal
-            .as_ref()
-            .map_or("off".to_string(), |p| p.display().to_string())
-    );
-    server.run().map_err(|e| CliError::Runtime(e.to_string()))
-}
-
-/// Runs the kplexr shard router in-process: same engine-facing protocol as
-/// `kplexd`, but submissions are rendezvous-routed across the given
-/// backends (see PROTOCOL.md, "The shard router").
-fn cmd_route(args: &Args) -> Result<(), CliError> {
-    let mut cfg = RouterConfig::default();
-    if let Some(addr) = args.get("addr") {
-        cfg.addr = addr.to_string();
-    }
-    cfg.backends = args
-        .get_all("backend")
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    let mut probe = kplex_service::ProbeConfig::default();
-    let probe_ms: u64 = args
-        .get_parse("probe-ms", probe.interval.as_millis() as u64)
-        .map_err(usage)?;
-    let timeout_ms: u64 = args
-        .get_parse("probe-timeout-ms", probe.timeout.as_millis() as u64)
-        .map_err(usage)?;
-    probe.timeout = std::time::Duration::from_millis(timeout_ms.max(1));
-    probe.fall = args
-        .get_parse("probe-fails", probe.fall)
-        .map_err(usage)?
-        .max(1);
-    probe.rise = args
-        .get_parse("probe-rises", probe.rise)
-        .map_err(usage)?
-        .max(1);
-    if probe_ms > 0 {
-        probe.interval = std::time::Duration::from_millis(probe_ms);
-        cfg.probe = Some(probe);
-    }
-    cfg.replicas = args
-        .get_parse("replicas", cfg.replicas)
-        .map_err(usage)?
-        .max(1);
-    if let Some(path) = args.get("principals") {
-        cfg.principals = Some(
-            kplex_service::PrincipalStore::load(std::path::Path::new(path))
-                .map_err(|e| CliError::Runtime(format!("--principals: {e}")))?,
-        );
-    }
-    args.reject_unknown().map_err(usage)?;
-    if cfg.backends.is_empty() {
-        return Err(usage("route requires at least one --backend HOST:PORT"));
-    }
-    let router = kplex_service::Router::bind(&cfg)
-        .map_err(|e| CliError::Runtime(format!("cannot bind {}: {e}", cfg.addr)))?;
-    let addr = router
-        .local_addr()
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    eprintln!(
-        "# kplexr listening on {addr}, routing over {} backend(s): {} (probe {})",
-        cfg.backends.len(),
-        cfg.backends.join(", "),
-        cfg.probe.as_ref().map_or("off".to_string(), |p| format!(
-            "every {}ms",
-            p.interval.as_millis()
-        ))
-    );
-    router.run().map_err(|e| CliError::Runtime(e.to_string()))
 }
 
 /// Submits a job to a running kplexd and streams its results to stdout.
@@ -840,12 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn route_requires_backends() {
-        assert!(is_usage(run(&["route"])));
-        assert!(is_usage(run(&["route", "--addr", "127.0.0.1:0"])));
-    }
-
-    #[test]
     fn submit_streams_through_a_router() {
         // Full path: kplexd backend behind a kplexr router, submitted to via
         // the CLI — all on ephemeral ports.
@@ -1004,7 +874,6 @@ mod tests {
             "--store",
             "ramdisk"
         ])));
-        assert!(is_usage(run(&["serve", "--store", "ramdisk"])));
     }
 
     #[test]

@@ -1253,10 +1253,10 @@ pub enum Request {
     #[test]
     fn scoped_accessors_annotations_and_tests_pass() {
         let src = "\
-fn job_for(&self, id: JobId, auth: &ConnAuth) {
+fn job_for(&self, id: JobId, auth: Option<&Principal>) {
     self.jobs.lock().get(&id)
 }
-fn jobs_for(&self, auth: &ConnAuth) {
+fn jobs_for(&self, auth: Option<&Principal>) {
     self.jobs
         .lock()
         .values()

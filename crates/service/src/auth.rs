@@ -182,6 +182,56 @@ impl PrincipalStore {
     }
 }
 
+// --- tenancy rules -----------------------------------------------------------
+//
+// One copy of each rule, shared by the server and the router so an edge
+// decision and a backend decision can never disagree.
+
+/// May a connection authenticated as `viewer` observe a job owned by
+/// `owner`? `None` means tenancy is disabled — on a tenancy-enabled tier
+/// the auth gate keeps unauthenticated connections away from job verbs —
+/// so every job is visible; an admin sees every job; anyone else only
+/// their own.
+pub(crate) fn may_see(viewer: Option<&Principal>, owner: Option<&str>) -> bool {
+    match viewer {
+        None => true,
+        Some(p) => p.admin || owner == Some(p.name.as_str()),
+    }
+}
+
+/// Resolves the principal a submission runs **as**: the authenticated one
+/// (`me`), unless an admin tags another principal's name (`tag`, the
+/// router's proxy path). `Ok(None)` is the anonymous, tenancy-disabled
+/// tier.
+pub(crate) fn effective_principal(
+    store: Option<&PrincipalStore>,
+    me: Option<&Principal>,
+    tag: Option<&str>,
+) -> Result<Option<Principal>, String> {
+    let Some(store) = store else {
+        if tag.is_some() {
+            return Err("principal= requires --principals".into());
+        }
+        return Ok(None);
+    };
+    let Some(me) = me else {
+        // Unreachable past the connection's auth gate; kept as defense.
+        return Err("authentication required (AUTH <token>)".into());
+    };
+    match tag {
+        None => Ok(Some(me.clone())),
+        Some(name) if name == me.name => Ok(Some(me.clone())),
+        Some(_) if !me.admin => {
+            Err("only an admin principal may submit on another principal's behalf".into())
+        }
+        Some(name) => store
+            .by_name(name)
+            .cloned()
+            .map(Some)
+            .ok_or_else(|| format!("unknown principal {name:?}")),
+    }
+}
+
 // --- byte accounting ---------------------------------------------------------
 
 /// The accounted byte cost of one streamed result of `vertices` members:
@@ -256,6 +306,37 @@ tok-root:root:1:0:0:admin
         assert!(PrincipalStore::parse("# only comments\n")
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn effective_principal_covers_every_branch() {
+        let store = PrincipalStore::parse(SAMPLE).unwrap();
+        let alice = store.authenticate("tok-alice").unwrap();
+        let root = store.authenticate("tok-root").unwrap();
+        let resolve = |me, tag| effective_principal(Some(&store), me, tag);
+        // No store: anonymous, and a tag has nothing to resolve against.
+        assert_eq!(effective_principal(None, None, None), Ok(None));
+        assert_eq!(
+            effective_principal(None, None, Some("alice")),
+            Err("principal= requires --principals".to_string())
+        );
+        // Untagged or self-tagged: the authenticated principal itself.
+        assert_eq!(resolve(Some(alice), None), Ok(Some(alice.clone())));
+        assert_eq!(resolve(Some(alice), Some("alice")), Ok(Some(alice.clone())));
+        // A non-admin may not act for anyone else.
+        assert!(resolve(Some(alice), Some("batch"))
+            .unwrap_err()
+            .contains("only an admin"));
+        // An admin may act for a known principal, not an unknown one.
+        assert_eq!(
+            resolve(Some(root), Some("batch")),
+            Ok(store.by_name("batch").cloned())
+        );
+        assert!(resolve(Some(root), Some("mallory"))
+            .unwrap_err()
+            .contains("unknown principal"));
+        // Never reached past the auth gate, but still refused.
+        assert!(resolve(None, None).is_err());
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! kplexd [--addr HOST:PORT] [--runners N] [--queue-cap N] [--cache-cap N]
 //!        [--threads N] [--store csr|compressed|mmap] [--journal PATH]
 //!        [--delivery-batch N] [--principals FILE]
-//! kplexd smoke    # self-test: submit jazz, stream, cancel, verify
 //! kplexd help
 //! ```
 
-use kplex_service::{Client, Server, ServerConfig, SubmitArgs};
+use kplex_service::{Server, ServerConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -16,7 +15,6 @@ kplexd — k-plex enumeration server (see crates/service/PROTOCOL.md)
 
 USAGE:
   kplexd [OPTIONS]        run the server (Ctrl-C to stop)
-  kplexd smoke            end-to-end self-test on an ephemeral port
   kplexd help
 
 OPTIONS:
@@ -109,188 +107,101 @@ fn parse_config(args: &[String]) -> Result<ServerConfig, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("help") | Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Some("smoke") => match smoke() {
-            Ok(()) => {
-                println!("kplexd smoke: PASS");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("kplexd smoke: FAIL: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => {
-            let cfg = match parse_config(&args) {
-                Ok(cfg) => cfg,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match Server::bind(&cfg) {
-                Ok(server) => {
-                    let addr = server.local_addr().expect("bound listener has an address");
-                    eprintln!(
-                        "kplexd listening on {addr} ({} runners, queue {}, cache {}, journal {})",
-                        cfg.runners,
-                        cfg.queue_cap,
-                        cfg.cache_cap,
-                        cfg.journal
-                            .as_ref()
-                            .map_or("off".to_string(), |p| p.display().to_string())
-                    );
-                    match server.run() {
-                        Ok(()) => ExitCode::SUCCESS,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            ExitCode::FAILURE
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: cannot bind {}: {e}", cfg.addr);
-                    ExitCode::FAILURE
-                }
-            }
-        }
+    if matches!(
+        args.first().map(String::as_str),
+        Some("help" | "--help" | "-h")
+    ) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
-}
-
-/// End-to-end self-test against a real server on an ephemeral port:
-/// submit jazz, stream and cross-check the count, then cancel a throttled
-/// job mid-stream. This is what CI's bench-smoke job runs.
-fn smoke() -> Result<(), String> {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        runners: 2,
-        ..ServerConfig::default()
+    let cfg = match parse_config(&args) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
     };
-    let handle = Server::bind(&cfg)
-        .and_then(|s| s.spawn())
-        .map_err(|e| format!("bind: {e}"))?;
-    let addr = handle.addr();
-    let result = smoke_scenarios(addr);
-    handle.shutdown();
-    result
+    let server = match Server::bind(&cfg) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("error: cannot bind {}: {e}", cfg.addr);
+            return ExitCode::FAILURE;
+        }
+    };
+    let addr = server.local_addr().expect("bound listener has an address");
+    eprintln!(
+        "kplexd listening on {addr} ({} runners, queue {}, cache {}, journal {})",
+        cfg.runners,
+        cfg.queue_cap,
+        cfg.cache_cap,
+        cfg.journal
+            .as_ref()
+            .map_or("off".to_string(), |p| p.display().to_string())
+    );
+    match server.run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
-fn smoke_scenarios(addr: std::net::SocketAddr) -> Result<(), String> {
-    let err = |e: kplex_service::ClientError| e.to_string();
-    // Ground truth, computed in-process.
-    let params = kplex_core::Params::new(2, 9).map_err(|e| e.to_string())?;
-    let jazz = kplex_datasets::by_name("jazz")
-        .ok_or("jazz missing")?
-        .load();
-    let (expected, _) = kplex_core::enumerate_count(&jazz, params, &kplex_core::AlgoConfig::ours());
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // 1. Submit and stream a full job; the streamed count must match.
-    let mut c = Client::connect(addr).map_err(err)?;
-    c.ping().map_err(err)?;
-    let mut args = SubmitArgs::dataset("jazz", 2, 9);
-    args.threads = Some(2);
-    let id = c.submit(&args).map_err(err)?;
-    let mut streamed = 0u64;
-    let end = c.stream(id, |_, _| streamed += 1).map_err(err)?;
-    if end.get("state").map(String::as_str) != Some("done") {
-        return Err(format!("job {id} ended {:?}, want done", end.get("state")));
+    fn parse(args: &[&str]) -> Result<ServerConfig, String> {
+        parse_config(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
-    if streamed != expected {
-        return Err(format!("streamed {streamed} plexes, expected {expected}"));
-    }
-    println!("kplexd smoke: streamed {streamed} plexes of jazz (2, 9)");
 
-    // 2. Cancel a throttled job mid-stream from a second connection.
-    let mut args = SubmitArgs::dataset("jazz", 2, 7);
-    args.threads = Some(2);
-    args.throttle_us = Some(3000);
-    let id = c.submit(&args).map_err(err)?;
-    let mut canceller = Client::connect(addr).map_err(err)?;
-    let mut seen = 0u64;
-    let mut cancel_err = None;
-    let end = c
-        .stream(id, |_, _| {
-            seen += 1;
-            if seen == 2 {
-                if let Err(e) = canceller.cancel(id) {
-                    cancel_err = Some(e.to_string());
-                }
-            }
-        })
-        .map_err(err)?;
-    if let Some(e) = cancel_err {
-        return Err(format!("cancel failed: {e}"));
+    #[test]
+    fn bad_options_are_errors() {
+        assert!(parse(&["--store", "ramdisk"]).is_err());
+        assert!(parse(&["--runners"]).is_err());
+        assert!(parse(&["--queue-cap", "many"]).is_err());
+        assert!(parse(&["--principals", "/no/such/principals"]).is_err());
+        assert!(parse(&["--bogus", "1"]).is_err());
+        assert!(parse(&["smoke"]).is_err());
     }
-    if end.get("state").map(String::as_str) != Some("cancelled") {
-        return Err(format!(
-            "job {id} ended {:?}, want cancelled",
-            end.get("state")
-        ));
-    }
-    let status = canceller.status(id).map_err(err)?;
-    println!(
-        "kplexd smoke: cancelled job after {} results (status: state={} results={})",
-        seen,
-        status.get("state").cloned().unwrap_or_default(),
-        status.get("results").cloned().unwrap_or_default(),
-    );
 
-    // 3. Warm-cache resubmit of scenario 1 must report a cache hit.
-    let id = c.submit(&SubmitArgs::dataset("jazz", 2, 9)).map_err(err)?;
-    let end = c.stream(id, |_, _| ()).map_err(err)?;
-    if end.get("state").map(String::as_str) != Some("done") {
-        return Err(format!("resubmit ended {:?}", end.get("state")));
+    #[test]
+    fn set_options_reach_the_config() {
+        let cfg = parse(&[
+            "--addr",
+            "127.0.0.1:0",
+            "--runners",
+            "3",
+            "--queue-cap",
+            "5",
+            "--cache-cap",
+            "6",
+            "--threads",
+            "7",
+            "--store",
+            "compressed",
+            "--retain",
+            "8",
+            "--journal",
+            "jobs.journal",
+            "--delivery-batch",
+            "9",
+        ])
+        .unwrap();
+        assert_eq!(cfg.addr, "127.0.0.1:0");
+        assert_eq!(
+            (
+                cfg.runners,
+                cfg.queue_cap,
+                cfg.cache_cap,
+                cfg.default_threads
+            ),
+            (3, 5, 6, 7)
+        );
+        assert_eq!(cfg.default_store, kplex_graph::StoreKind::Compressed);
+        assert_eq!((cfg.retain_terminal, cfg.delivery_batch), (8, 9));
+        assert_eq!(cfg.journal, Some(std::path::PathBuf::from("jobs.journal")));
+        // Unset options keep their defaults.
+        assert!(parse(&[]).unwrap().journal.is_none());
     }
-    let status = c.status(id).map_err(err)?;
-    if status.get("cache").map(String::as_str) != Some("hit") {
-        return Err(format!(
-            "resubmit was not served from the cache: {status:?}"
-        ));
-    }
-    println!("kplexd smoke: warm resubmit served from the prepared-graph cache");
-
-    // 4. The same job through the out-of-core mmap backend: the dataset is
-    // converted to a `.kpx` file once, served memory-mapped, and the
-    // streamed count must not change. STATS then carries the per-backend
-    // cache residency fields.
-    let mut args = SubmitArgs::dataset("jazz", 2, 9);
-    args.threads = Some(2);
-    args.store = Some("mmap".into());
-    let id = c.submit(&args).map_err(err)?;
-    let mut streamed = 0u64;
-    let end = c.stream(id, |_, _| streamed += 1).map_err(err)?;
-    if end.get("state").map(String::as_str) != Some("done") {
-        return Err(format!(
-            "mmap job {id} ended {:?}, want done",
-            end.get("state")
-        ));
-    }
-    if streamed != expected {
-        return Err(format!(
-            "mmap backend streamed {streamed} plexes, expected {expected}"
-        ));
-    }
-    let stats = c.stats().map_err(err)?;
-    let store = stats.get("store").map(String::as_str).unwrap_or("-");
-    if store == "-" {
-        return Err(format!("STATS store= is empty after jobs ran: {stats:?}"));
-    }
-    let bytes: u64 = stats
-        .get("graph-bytes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    if bytes == 0 {
-        return Err(format!(
-            "STATS graph-bytes= must be positive with resident cache entries: {stats:?}"
-        ));
-    }
-    println!(
-        "kplexd smoke: mmap-backed job streamed {streamed} plexes \
-         (store={store} graph-bytes={bytes})"
-    );
-    Ok(())
 }

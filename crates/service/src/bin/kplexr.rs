@@ -4,12 +4,10 @@
 //! kplexr [--addr HOST:PORT] --backend HOST:PORT [--backend HOST:PORT ...]
 //!        [--probe-ms N] [--probe-timeout-ms N] [--probe-fails N] [--probe-rises N]
 //!        [--replicas N] [--principals FILE]
-//! kplexr smoke    # self-test: routing, failover, journal replay, mid-stream
-//!                 # resume, multi-tenant quotas and scoping
 //! kplexr help
 //! ```
 
-use kplex_service::{Client, ProbeConfig, Router, RouterConfig, Server, ServerConfig, SubmitArgs};
+use kplex_service::{ProbeConfig, Router, RouterConfig};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -18,7 +16,6 @@ kplexr — shard router for kplexd backends (see crates/service/PROTOCOL.md)
 
 USAGE:
   kplexr [OPTIONS]        run the router (Ctrl-C to stop)
-  kplexr smoke            end-to-end self-test with in-process backends
   kplexr help
 
 OPTIONS:
@@ -77,6 +74,9 @@ fn parse_config(args: &[String]) -> Result<RouterConfig, String> {
         }
         i += 2;
     }
+    if cfg.backends.is_empty() {
+        return Err(format!("at least one --backend is required\n\n{USAGE}"));
+    }
     if probe_ms > 0 {
         probe.interval = Duration::from_millis(probe_ms);
         cfg.probe = Some(probe);
@@ -86,601 +86,70 @@ fn parse_config(args: &[String]) -> Result<RouterConfig, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("help") | Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Some("smoke") => match smoke() {
-            Ok(()) => {
-                println!("kplexr smoke: PASS");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("kplexr smoke: FAIL: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => {
-            let cfg = match parse_config(&args) {
-                Ok(cfg) if !cfg.backends.is_empty() => cfg,
-                Ok(_) => {
-                    eprintln!("error: at least one --backend is required\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match Router::bind(&cfg) {
-                Ok(router) => {
-                    let addr = router.local_addr().expect("bound listener has an address");
-                    eprintln!(
-                        "kplexr listening on {addr}, routing over {} backend(s): {} (probe {})",
-                        cfg.backends.len(),
-                        cfg.backends.join(", "),
-                        cfg.probe.as_ref().map_or("off".to_string(), |p| format!(
-                            "every {}ms",
-                            p.interval.as_millis()
-                        ))
-                    );
-                    match router.run() {
-                        Ok(()) => ExitCode::SUCCESS,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            ExitCode::FAILURE
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: cannot bind {}: {e}", cfg.addr);
-                    ExitCode::FAILURE
-                }
-            }
-        }
+    if matches!(
+        args.first().map(String::as_str),
+        Some("help" | "--help" | "-h")
+    ) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
-}
-
-fn ground_truth(dataset: &str, k: usize, q: usize) -> Result<u64, String> {
-    let g = kplex_datasets::by_name(dataset)
-        .ok_or_else(|| format!("{dataset} missing"))?
-        .load();
-    let params = kplex_core::Params::new(k, q).map_err(|e| e.to_string())?;
-    Ok(kplex_core::enumerate_count(&g, params, &kplex_core::AlgoConfig::ours()).0)
-}
-
-fn start_backend(journal: &std::path::Path) -> Result<kplex_service::ServerHandle, String> {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(), // port 0: parallel runs cannot collide
-        runners: 1,
-        journal: Some(journal.to_path_buf()),
-        ..ServerConfig::default()
+    let cfg = match parse_config(&args) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
     };
-    Server::bind(&cfg)
-        .and_then(|s| s.spawn())
-        .map_err(|e| format!("bind backend: {e}"))
-}
-
-/// One in-process backend of the smoke fleet: its router-visible address,
-/// its journal path (reused when the smoke restarts it), and its handle
-/// (`None` once the failover scenario has killed it).
-struct BackendSlot {
-    addr: String,
-    journal: std::path::PathBuf,
-    handle: Option<kplex_service::ServerHandle>,
-}
-
-type BackendSlots = [BackendSlot; 2];
-
-/// End-to-end self-test (what CI's bench-smoke job runs): two in-process
-/// journal-backed backends behind a router on ephemeral ports. Verifies
-/// ADDNODE, routed streaming with count cross-check, rendezvous-stable
-/// warm resubmission (via STATS of the owning backend), queued- and
-/// running-job failover when a backend dies, the self-healing half — a
-/// restart of the killed backend with the same journal replaying its
-/// interrupted jobs to completion — and, on a separate `--replicas 2`
-/// fleet, exactly-once transparent resume of a stream whose primary
-/// backend is killed mid-delivery ([`smoke_resume`]).
-fn smoke() -> Result<(), String> {
-    let tmp = std::env::temp_dir();
-    let journal_a = tmp.join(format!("kplexr-smoke-{}-a.journal", std::process::id()));
-    let journal_b = tmp.join(format!("kplexr-smoke-{}-b.journal", std::process::id()));
-    for p in [&journal_a, &journal_b] {
-        let _ = std::fs::remove_file(p);
-    }
-    let backend_a = start_backend(&journal_a)?;
-    let backend_b = start_backend(&journal_b)?;
-    let addr_a = backend_a.addr().to_string();
-    let addr_b = backend_b.addr().to_string();
-
-    // Start with one registered backend and ADDNODE the second.
-    let router = Router::bind(&RouterConfig {
-        addr: "127.0.0.1:0".to_string(),
-        backends: vec![addr_a.clone()],
-        probe: None, // failover is exercised reactively here; probes have their own tests
-        replicas: 1,
-        principals: None,
-    })
-    .and_then(|r| r.spawn())
-    .map_err(|e| format!("bind router: {e}"))?;
-    let mut backends = [
-        BackendSlot {
-            addr: addr_a,
-            journal: journal_a.clone(),
-            handle: Some(backend_a),
-        },
-        BackendSlot {
-            addr: addr_b.clone(),
-            journal: journal_b.clone(),
-            handle: Some(backend_b),
-        },
-    ];
-    let result = smoke_scenarios(router.addr(), &addr_b, &mut backends)
-        .and_then(|()| smoke_restart(router.addr(), &mut backends))
-        .and_then(|()| smoke_resume())
-        .and_then(|()| smoke_tenants());
-    router.shutdown();
-    for slot in backends.iter_mut() {
-        if let Some(h) = slot.handle.take() {
-            h.shutdown();
+    let router = match Router::bind(&cfg) {
+        Ok(router) => router,
+        Err(e) => {
+            eprintln!("error: cannot bind {}: {e}", cfg.addr);
+            return ExitCode::FAILURE;
         }
-    }
-    for p in [&journal_a, &journal_b] {
-        let _ = std::fs::remove_file(p);
-    }
-    result
-}
-
-/// Scenario 5: the backend killed by the failover scenario restarts with
-/// the **same journal** (on a fresh port — the old one may linger in
-/// TIME_WAIT). Its interrupted jobs — one orphaned mid-run, one queued —
-/// must replay into the queue under their original ids and complete with
-/// the correct counts, and the healed node rejoins the fleet via ADDNODE.
-fn smoke_restart(router: std::net::SocketAddr, backends: &mut BackendSlots) -> Result<(), String> {
-    let err = |e: kplex_service::ClientError| e.to_string();
-    let victim = backends
-        .iter_mut()
-        .find(|s| s.handle.is_none())
-        .ok_or("no backend was killed by the failover scenario")?;
-    let restarted = start_backend(&victim.journal)?;
-    let new_addr = restarted.addr().to_string();
-
-    let mut direct = Client::connect(restarted.addr()).map_err(err)?;
-    let stats = direct.stats().map_err(err)?;
-    if stats.get("recovered").map(String::as_str) != Some("2") {
-        return Err(format!(
-            "restart must replay the orphaned-running and the queued job, STATS: {stats:?}"
-        ));
-    }
-    // Both replayed jobs are jazz(2,7); the lower id is the throttled one
-    // (submitted first). Cancel it — an operator pruning stale replays —
-    // and check the other completes with the full result set.
-    let jobs = direct.list().map_err(err)?;
-    let mut ids: Vec<u64> = jobs
-        .iter()
-        .map(|j| j["id"].parse().map_err(|_| "non-numeric id in LIST"))
-        .collect::<Result<_, _>>()?;
-    ids.sort_unstable();
-    let [throttled, plain] = ids[..] else {
-        return Err(format!("expected exactly 2 replayed jobs, got {jobs:?}"));
     };
-    direct.cancel(throttled).map_err(err)?;
-    let status = direct.status(plain).map_err(err)?;
-    if status.get("recovered").map(String::as_str) != Some("true") {
-        return Err(format!(
-            "replayed job must carry recovered=true: {status:?}"
-        ));
-    }
-    let expected = ground_truth("jazz", 2, 7)?;
-    let mut streamed = 0u64;
-    let end = direct.stream(plain, |_, _| streamed += 1).map_err(err)?;
-    if end.get("state").map(String::as_str) != Some("done") || streamed != expected {
-        return Err(format!(
-            "replayed job: state={:?} streamed={streamed}, want done/{expected}",
-            end.get("state")
-        ));
-    }
-    // The healed backend rejoins the routing set.
-    let mut c = Client::connect(router).map_err(err)?;
-    c.add_node(&new_addr).map_err(err)?;
-    victim.handle = Some(restarted);
-    println!(
-        "kplexr smoke: restarted backend replayed 2 journaled jobs \
-         ({streamed} plexes re-streamed) and rejoined as {new_addr}"
+    let addr = router.local_addr().expect("bound listener has an address");
+    eprintln!(
+        "kplexr listening on {addr}, routing over {} backend(s): {} (probe {})",
+        cfg.backends.len(),
+        cfg.backends.join(", "),
+        cfg.probe.as_ref().map_or("off".to_string(), |p| format!(
+            "every {}ms",
+            p.interval.as_millis()
+        ))
     );
-    Ok(())
+    match router.run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
-fn smoke_scenarios(
-    router: std::net::SocketAddr,
-    addr_b: &str,
-    backends: &mut BackendSlots,
-) -> Result<(), String> {
-    let err = |e: kplex_service::ClientError| e.to_string();
-    let mut c = Client::connect(router).map_err(err)?;
-    c.ping().map_err(err)?;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    // 1. Grow the registry at runtime.
-    c.add_node(addr_b).map_err(err)?;
-    let nodes = c.nodes().map_err(err)?;
-    if nodes.len() != 2 {
-        return Err(format!("expected 2 nodes after ADDNODE, got {nodes:?}"));
+    fn parse(args: &[&str]) -> Result<RouterConfig, String> {
+        parse_config(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
-    println!("kplexr smoke: registry has {} backends", nodes.len());
 
-    // 2. Routed streaming: counts must match the in-process ground truth.
-    let expected = ground_truth("jazz", 2, 9)?;
-    let mut args = SubmitArgs::dataset("jazz", 2, 9);
-    args.threads = Some(2);
-    let fields = c.submit_fields(&args).map_err(err)?;
-    let id: u64 = fields
-        .get("id")
-        .and_then(|s| s.parse().ok())
-        .ok_or("submit reply without id")?;
-    let owner = fields.get("backend").cloned().ok_or("no backend= field")?;
-    let mut streamed = 0u64;
-    let end = c.stream(id, |_, _| streamed += 1).map_err(err)?;
-    if end.get("state").map(String::as_str) != Some("done") || streamed != expected {
-        return Err(format!(
-            "routed job: state={:?} streamed={streamed}, want done/{expected}",
-            end.get("state")
-        ));
+    #[test]
+    fn at_least_one_backend_is_required() {
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["--addr", "127.0.0.1:0"]).is_err());
     }
-    println!("kplexr smoke: routed {streamed} plexes of jazz (2, 9) via {owner}");
 
-    // 3. Rendezvous stability: the resubmit must land on the same backend
-    //    and be served from its warm prepared-graph cache, observable both
-    //    per-job (cache=hit) and in the owning backend's STATS counters.
-    let fields = c.submit_fields(&args).map_err(err)?;
-    let id2: u64 = fields.get("id").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let owner2 = fields.get("backend").cloned().unwrap_or_default();
-    if owner2 != owner {
-        return Err(format!(
-            "resubmit routed to {owner2}, expected the warm backend {owner}"
-        ));
+    #[test]
+    fn repeated_backends_collect_in_order() {
+        let cfg = parse(&["--backend", "h1:1", "--backend", "h2:2"]).unwrap();
+        assert_eq!(cfg.backends, ["h1:1", "h2:2"]);
+        assert!(cfg.probe.is_some(), "probing is on by default");
     }
-    let end = c.stream(id2, |_, _| ()).map_err(err)?;
-    if end.get("state").map(String::as_str) != Some("done") {
-        return Err(format!("resubmit ended {:?}", end.get("state")));
-    }
-    let status = c.status(id2).map_err(err)?;
-    if status.get("cache").map(String::as_str) != Some("hit") {
-        return Err(format!("resubmit missed the warm cache: {status:?}"));
-    }
-    let stats = c.stats().map_err(err)?;
-    let hits = (0..2)
-        .find(|i| stats.get(&format!("node{i}-addr")) == Some(&owner))
-        .and_then(|i| stats.get(&format!("node{i}-cache-hits")))
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| format!("no cache-hits for {owner} in STATS: {stats:?}"))?;
-    if hits == 0 {
-        return Err("warm backend shows 0 cache hits after resubmit".to_string());
-    }
-    println!("kplexr smoke: resubmit hit {owner}'s warm cache ({hits} hits via STATS)");
 
-    // 4. Queued-job failover: occupy one backend's single runner with a
-    //    throttled job, queue a second job behind it (same routing key, so
-    //    same backend), kill that backend, and check the queued job is
-    //    transparently resubmitted to the survivor and completes.
-    let expected27 = ground_truth("jazz", 2, 7)?;
-    let mut slow = SubmitArgs::dataset("jazz", 2, 7);
-    slow.throttle_us = Some(3000);
-    let fields = c.submit_fields(&slow).map_err(err)?;
-    let slow_id: u64 = fields.get("id").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let target = fields.get("backend").cloned().ok_or("no backend= field")?;
-    // Wait until it occupies the runner (leaves the backend's queue).
-    loop {
-        let st = c.status(slow_id).map_err(err)?;
-        match st.get("state").map(String::as_str) {
-            Some("queued") => std::thread::sleep(std::time::Duration::from_millis(5)),
-            Some("running") => break,
-            other => return Err(format!("slow job in state {other:?} before kill")),
-        }
+    #[test]
+    fn probe_ms_zero_disables_probing() {
+        let cfg = parse(&["--backend", "h1:1", "--probe-ms", "0"]).unwrap();
+        assert!(cfg.probe.is_none());
     }
-    let fields = c
-        .submit_fields(&SubmitArgs::dataset("jazz", 2, 7))
-        .map_err(err)?;
-    let queued_id: u64 = fields.get("id").and_then(|s| s.parse().ok()).unwrap_or(0);
-    if fields.get("backend") != Some(&target) {
-        return Err("same routing key landed on a different backend".to_string());
-    }
-    // Kill the owning backend (the other one survives).
-    let victim = backends
-        .iter_mut()
-        .find(|slot| slot.addr == target)
-        .and_then(|slot| slot.handle.take())
-        .ok_or("victim backend handle missing")?;
-    victim.shutdown();
-    // STATUS forces the router to notice the outage and fail over.
-    let status = c.status(queued_id).map_err(err)?;
-    let new_backend = status.get("backend").cloned().unwrap_or_default();
-    if new_backend == target {
-        return Err(format!("queued job still on the dead backend: {status:?}"));
-    }
-    // The job that was RUNNING on the dead backend is requeued to the
-    // survivor too — resumable streams make re-running safe — instead of
-    // being failed with backend_lost. Cancel it (it is throttled) so the
-    // survivor's single runner is free for the queued job below.
-    let status = c.status(slow_id).map_err(err)?;
-    let slow_state = status.get("state").cloned().unwrap_or_default();
-    if !matches!(slow_state.as_str(), "queued" | "running") {
-        return Err(format!(
-            "running job on dead backend: {status:?}, want requeued to the survivor"
-        ));
-    }
-    if status.get("backend") == Some(&target) {
-        return Err(format!(
-            "requeued running job still on the corpse: {status:?}"
-        ));
-    }
-    c.cancel(slow_id).map_err(err)?;
-    let mut streamed = 0u64;
-    let end = c.stream(queued_id, |_, _| streamed += 1).map_err(err)?;
-    if end.get("state").map(String::as_str) != Some("done") || streamed != expected27 {
-        return Err(format!(
-            "failover job: state={:?} streamed={streamed}, want done/{expected27}",
-            end.get("state")
-        ));
-    }
-    println!(
-        "kplexr smoke: queued + running jobs failed over {target} -> {new_backend}, \
-         queued one streamed {streamed} plexes"
-    );
-    Ok(())
-}
-
-/// Scenario 6: exactly-once resumable streaming. A fresh two-backend fleet
-/// behind a `--replicas 2` router; a single-threaded throttled job
-/// (deterministic result order — the precondition for cross-backend
-/// resume, see PROTOCOL.md) is streamed through the router and its primary
-/// backend is **killed mid-stream** (sockets severed, no graceful
-/// goodbye). The router must promote the replica and transparently resume
-/// with `STREAM … FROM <first undelivered seq>`: the client sees every
-/// result exactly once and a terminal `END state=done`, never
-/// `ERR … lost mid-stream`.
-fn smoke_resume() -> Result<(), String> {
-    let err = |e: kplex_service::ClientError| e.to_string();
-    let expected = ground_truth("jazz", 2, 8)?;
-    let start = || {
-        let cfg = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            runners: 1,
-            ..ServerConfig::default()
-        };
-        Server::bind(&cfg)
-            .and_then(|s| s.spawn())
-            .map_err(|e| format!("bind backend: {e}"))
-    };
-    let backend_a = start()?;
-    let backend_b = start()?;
-    let mut handles = std::collections::BTreeMap::new();
-    handles.insert(backend_a.addr().to_string(), backend_a);
-    handles.insert(backend_b.addr().to_string(), backend_b);
-    let router = Router::bind(&RouterConfig {
-        addr: "127.0.0.1:0".to_string(),
-        backends: handles.keys().cloned().collect(),
-        probe: None,
-        replicas: 2,
-        principals: None,
-    })
-    .and_then(|r| r.spawn())
-    .map_err(|e| format!("bind router: {e}"))?;
-
-    let result = (|| {
-        let mut c = Client::connect(router.addr()).map_err(err)?;
-        let mut args = SubmitArgs::dataset("jazz", 2, 8);
-        args.threads = Some(1); // deterministic result order
-        args.throttle_us = Some(1000); // slow enough to kill mid-stream
-        let fields = c.submit_fields(&args).map_err(err)?;
-        if fields.get("replicas").map(String::as_str) != Some("1") {
-            return Err(format!("submit placed no replica: {fields:?}"));
-        }
-        let id: u64 = fields
-            .get("id")
-            .and_then(|s| s.parse().ok())
-            .ok_or("submit reply without id")?;
-        let owner = fields.get("backend").cloned().ok_or("no backend= field")?;
-        let mut victim = handles.remove(&owner);
-        let mut seqs: Vec<u64> = Vec::new();
-        let end = c
-            .stream(id, |seq, _| {
-                seqs.push(seq);
-                if seqs.len() == 3 {
-                    if let Some(h) = victim.take() {
-                        h.kill(); // sever mid-stream, crash-style
-                    }
-                }
-            })
-            .map_err(err)?;
-        if victim.is_some() {
-            return Err(format!(
-                "stream ended after {} results, before the kill could happen",
-                seqs.len()
-            ));
-        }
-        if end.get("state").map(String::as_str) != Some("done") {
-            return Err(format!(
-                "resumed stream ended {:?}, want done",
-                end.get("state")
-            ));
-        }
-        // Exactly once: every seq 0..expected, in order, no gap, no dupe.
-        if seqs.len() as u64 != expected || seqs.iter().enumerate().any(|(i, &s)| s != i as u64) {
-            return Err(format!(
-                "resumed stream delivered {} results (expected {expected}), \
-                 first disorder at {:?}",
-                seqs.len(),
-                seqs.iter()
-                    .enumerate()
-                    .find(|(i, &s)| s != *i as u64)
-                    .map(|(i, &s)| (i, s)),
-            ));
-        }
-        println!(
-            "kplexr smoke: killed primary {owner} mid-stream; replica resumed \
-             transparently, {expected} results delivered exactly once"
-        );
-        Ok(())
-    })();
-    router.shutdown();
-    for (_, h) in handles {
-        h.shutdown();
-    }
-    result
-}
-
-/// Scenario 7: multi-tenant routing. A fresh two-backend fleet where every
-/// process shares one principal file (`alice` max-queued 2, `batch`, and
-/// the `root` admin the router authenticates to backends with). Verifies
-/// the auth gate and bad-token rejection, **edge quota rejection** (alice's
-/// third concurrent submit bounces off the router before any backend sees
-/// it), cross-tenant `STATUS`/`STREAM` denial (indistinguishable from "no
-/// such job"), tenant-scoped vs. admin `LIST`, and per-tenant `STATS`
-/// aggregation across backends (cluster `tenant*-bytes` summed from the
-/// backends' journaled counters).
-fn smoke_tenants() -> Result<(), String> {
-    let err = |e: kplex_service::ClientError| e.to_string();
-    let tmp = std::env::temp_dir();
-    let pfile = tmp.join(format!("kplexr-smoke-{}-principals", std::process::id()));
-    std::fs::write(
-        &pfile,
-        "tok-alice:alice:4:2:1:-\ntok-batch:batch:1:64:8:-\ntok-root:root:1:0:0:admin\n",
-    )
-    .map_err(|e| format!("write principals: {e}"))?;
-    let store = kplex_service::PrincipalStore::load(&pfile).map_err(|e| e.to_string())?;
-    let start = || {
-        let cfg = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            runners: 1,
-            principals: Some(store.clone()),
-            ..ServerConfig::default()
-        };
-        Server::bind(&cfg)
-            .and_then(|s| s.spawn())
-            .map_err(|e| format!("bind backend: {e}"))
-    };
-    let backend_a = start()?;
-    let backend_b = start()?;
-    let router = Router::bind(&RouterConfig {
-        addr: "127.0.0.1:0".to_string(),
-        backends: vec![backend_a.addr().to_string(), backend_b.addr().to_string()],
-        probe: None,
-        replicas: 1,
-        principals: Some(store.clone()),
-    })
-    .and_then(|r| r.spawn())
-    .map_err(|e| format!("bind router: {e}"))?;
-
-    let result = (|| {
-        use kplex_service::ClientError;
-        let mut alice = Client::connect(router.addr()).map_err(err)?;
-        alice.ping().map_err(err)?; // liveness is exempt from the auth gate
-        match alice.stats() {
-            Err(ClientError::Remote(msg)) if msg.contains("authentication required") => {}
-            other => return Err(format!("unauthenticated STATS must bounce, got {other:?}")),
-        }
-        match alice.auth("tok-nobody") {
-            Err(ClientError::Remote(msg)) if msg == "unknown token" => {}
-            other => return Err(format!("bad token must be rejected, got {other:?}")),
-        }
-        let fields = alice.auth("tok-alice").map_err(err)?;
-        if fields.get("principal").map(String::as_str) != Some("alice") {
-            return Err(format!("AUTH reply names the wrong principal: {fields:?}"));
-        }
-
-        // Edge quota: alice's max-queued is 2, so her third concurrent
-        // submit is rejected by the router itself — no backend sees it.
-        let mut slow = SubmitArgs::dataset("jazz", 2, 7);
-        slow.threads = Some(1);
-        slow.throttle_us = Some(3000);
-        let id1 = alice.submit(&slow).map_err(err)?;
-        let id2 = alice.submit(&slow).map_err(err)?;
-        match alice.submit(&slow) {
-            Err(ClientError::Remote(msg)) if msg.contains("quota exceeded") => {
-                println!("kplexr smoke: edge rejected alice's over-quota submit ({msg})");
-            }
-            other => return Err(format!("over-quota submit must bounce, got {other:?}")),
-        }
-
-        // A second tenant cannot see — or even probe for — alice's jobs.
-        let mut batch = Client::connect(router.addr()).map_err(err)?;
-        batch.auth("tok-batch").map_err(err)?;
-        match batch.status(id1) {
-            Err(ClientError::Remote(msg)) if msg.starts_with("no such job") => {}
-            other => return Err(format!("cross-tenant STATUS must be hidden, got {other:?}")),
-        }
-        match batch.stream_while(id1, |_, _| true) {
-            Err(ClientError::Remote(msg)) if msg.starts_with("no such job") => {}
-            other => return Err(format!("cross-tenant STREAM must be denied, got {other:?}")),
-        }
-        println!("kplexr smoke: cross-tenant STATUS/STREAM denied as no-such-job");
-
-        // Alice drains her own backlog (CANCEL is owner-scoped too), then
-        // batch's job runs to completion and accrues result bytes.
-        alice.cancel(id1).map_err(err)?;
-        alice.cancel(id2).map_err(err)?;
-        let expected = ground_truth("jazz", 2, 9)?;
-        let mut args = SubmitArgs::dataset("jazz", 2, 9);
-        args.threads = Some(1);
-        let bid = batch.submit(&args).map_err(err)?;
-        let mut streamed = 0u64;
-        let end = batch.stream(bid, |_, _| streamed += 1).map_err(err)?;
-        if end.get("state").map(String::as_str) != Some("done") || streamed != expected {
-            return Err(format!(
-                "batch job: state={:?} streamed={streamed}, want done/{expected}",
-                end.get("state")
-            ));
-        }
-
-        // Tenant-scoped LIST: batch sees only its own job; the admin sees
-        // every tenant's.
-        let mine = batch.list().map_err(err)?;
-        if mine.is_empty()
-            || !mine
-                .iter()
-                .all(|j| j.get("principal").map(String::as_str) == Some("batch"))
-        {
-            return Err(format!("batch's LIST leaked foreign jobs: {mine:?}"));
-        }
-        let mut root = Client::connect(router.addr()).map_err(err)?;
-        root.auth("tok-root").map_err(err)?;
-        let all = root.list().map_err(err)?;
-        if all.len() <= mine.len() {
-            return Err(format!(
-                "admin LIST must include alice's jobs too ({} vs {})",
-                all.len(),
-                mine.len()
-            ));
-        }
-
-        // Per-tenant STATS aggregation: the router sums the backends'
-        // journaled per-tenant byte counters into cluster tenant*-bytes.
-        let stats = root.stats().map_err(err)?;
-        if stats.get("tenants").map(String::as_str) != Some("3") {
-            return Err(format!("STATS must report tenants=3: {stats:?}"));
-        }
-        let bytes = (0..3)
-            .find(|i| stats.get(&format!("tenant{i}-name")).map(String::as_str) == Some("batch"))
-            .and_then(|i| stats.get(&format!("tenant{i}-bytes")))
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or_else(|| format!("no tenant entry for batch in STATS: {stats:?}"))?;
-        if bytes == 0 {
-            return Err(format!(
-                "batch streamed {streamed} results but cluster bytes are 0: {stats:?}"
-            ));
-        }
-        println!(
-            "kplexr smoke: per-tenant STATS aggregated across backends \
-             (batch bytes={bytes}, admin LIST {} jobs, tenant LIST {})",
-            all.len(),
-            mine.len()
-        );
-        Ok(())
-    })();
-    router.shutdown();
-    backend_a.shutdown();
-    backend_b.shutdown();
-    let _ = std::fs::remove_file(&pfile);
-    result
 }

@@ -1,9 +1,9 @@
 //! A small blocking client for the `kplexd` wire protocol.
 //!
-//! Used by `kplex submit`, the `kplexd smoke` self-test and the integration
-//! tests. One connection handles one request at a time (the protocol is
-//! strictly request → response); cancelling a job that is being streamed on
-//! this connection therefore needs a second connection.
+//! Used by `kplex submit` and the integration tests. One connection handles
+//! one request at a time (the protocol is strictly request → response);
+//! cancelling a job that is being streamed on this connection therefore
+//! needs a second connection.
 
 use crate::protocol::{self, JobId, SubmitArgs};
 use std::collections::BTreeMap;

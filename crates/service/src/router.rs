@@ -367,7 +367,7 @@ impl Router {
     }
 
     /// Runs the accept loop in a background thread and returns a handle
-    /// (used by tests and the `kplexr smoke`).
+    /// (used by tests).
     pub fn spawn(self) -> std::io::Result<RouterHandle> {
         let addr = self.local_addr()?;
         let prober = self.spawn_prober();
@@ -799,23 +799,12 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(framed.as_bytes())
 }
 
-/// `true` when the principal authenticated on this connection (if any) may
-/// see a job owned by `owner`. Tenancy disabled (`auth` is `None` only
-/// happens then, thanks to the verb gate) sees everything; an admin sees
-/// everything; otherwise only the owner.
-fn may_see(auth: &Option<crate::auth::Principal>, owner: Option<&str>) -> bool {
-    match auth {
-        None => true,
-        Some(p) => p.admin || owner == Some(p.name.as_str()),
-    }
-}
-
 /// Pre-proxy visibility check for `STATUS`/`CANCEL`/`STREAM`: an unknown
 /// job is `true` so the proxy path emits its own (identical) error — a
 /// denied tenant cannot distinguish "hidden" from "nonexistent".
 fn visible(state: &RouterState, rid: JobId, auth: &Option<crate::auth::Principal>) -> bool {
     match lookup(state, rid) {
-        Some(job) => may_see(auth, job.args.principal.as_deref()),
+        Some(job) => crate::auth::may_see(auth.as_ref(), job.args.principal.as_deref()),
         None => true,
     }
 }
@@ -967,44 +956,6 @@ fn admin_only(auth: &Option<crate::auth::Principal>) -> bool {
 
 // --- request implementations ------------------------------------------------
 
-/// The submission principal the router acts for: the authenticated
-/// principal itself, or — admin only — the principal named by an explicit
-/// `principal=` tag. Mirrors the backend's resolution so edge rejections
-/// and backend rejections agree.
-fn effective_principal(
-    state: &RouterState,
-    args: &SubmitArgs,
-    auth: &Option<crate::auth::Principal>,
-) -> Result<Option<crate::auth::Principal>, String> {
-    let Some(store) = &state.principals else {
-        if args.principal.is_some() {
-            return Err("principal= requires a router started with --principals".into());
-        }
-        return Ok(None);
-    };
-    // The verb gate guarantees an authenticated principal here; keep the
-    // check anyway so this function is safe to call from any path.
-    let Some(me) = auth else {
-        return Err("authentication required (AUTH <token>)".into());
-    };
-    match args.principal.as_deref() {
-        None => Ok(Some(me.clone())),
-        Some(name) if name == me.name => Ok(Some(me.clone())),
-        Some(name) => {
-            if !me.admin {
-                return Err(
-                    "only an admin principal may submit on another principal's behalf".into(),
-                );
-            }
-            store
-                .by_name(name)
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| format!("unknown principal {name:?}"))
-        }
-    }
-}
-
 /// This tenant's routed jobs the router still believes are waiting to run
 /// — the population the edge `max-queued` quota counts. `max-running` is
 /// deliberately *not* checked here: it is a dispatch-rate constraint the
@@ -1032,7 +983,12 @@ fn submit(
         return Err("router shutting down".into());
     }
     let mut args = args.clone();
-    if let Some(p) = effective_principal(state, &args, auth)? {
+    let principal = crate::auth::effective_principal(
+        state.principals.as_ref(),
+        auth.as_ref(),
+        args.principal.as_deref(),
+    )?;
+    if let Some(p) = principal {
         // Edge quota: reject before any backend sees the job. Checked
         // against the router's own routed-job records, so a saturating
         // tenant is cut off even when its jobs are spread over many
@@ -1422,7 +1378,7 @@ fn list(
     let snapshot: Vec<(JobId, Routed)> = {
         let jobs = state.jobs.lock();
         jobs.iter()
-            .filter(|(_, j)| may_see(auth, j.args.principal.as_deref()))
+            .filter(|(_, j)| crate::auth::may_see(auth.as_ref(), j.args.principal.as_deref()))
             .map(|(&rid, j)| (rid, j.clone()))
             .collect()
     };
@@ -1637,15 +1593,16 @@ fn nodes(writer: &mut TcpStream, state: &Arc<RouterState>) -> std::io::Result<()
     };
     for (addr, alive, fails, oks) in &snapshot {
         let jobs = per_backend.get(addr).copied().unwrap_or(0);
-        write_line(
+        reply_line(
             writer,
+            state,
             &format!(
                 "NODE addr={addr} alive={alive} jobs={jobs} \
                  probe-fails={fails} probe-oks={oks}"
             ),
         )?;
     }
-    write_line(writer, &format!("END count={}", snapshot.len()))
+    reply_line(writer, state, &format!("END count={}", snapshot.len()))
 }
 
 #[cfg(test)]

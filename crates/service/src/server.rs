@@ -34,6 +34,7 @@
 //! exists: one anonymous FIFO lane, no `AUTH`, byte-for-byte the previous
 //! behavior.
 
+use crate::auth::Principal;
 use crate::cache::{CacheStats, GraphCache};
 use crate::job::{GraphSource, Job, JobSpec, PlexBuf, StreamStep};
 use crate::journal::Journal;
@@ -347,46 +348,25 @@ impl SharedState {
     }
 }
 
-/// One connection's authentication state: which principal (if any) has
-/// presented a valid token on this connection.
-#[derive(Clone, Debug, Default)]
-struct ConnAuth {
-    /// `None` before a successful `AUTH` — and always, on a server without
-    /// a principal store (where nothing is gated on it).
-    principal: Option<crate::auth::Principal>,
-}
-
-impl ConnAuth {
-    /// May this connection observe a job owned by `owner`? Only meaningful
-    /// after the auth gate: on a tenancy-enabled server an unauthenticated
-    /// connection never reaches a job-reading verb.
-    fn may_see(&self, owner: Option<&str>) -> bool {
-        match &self.principal {
-            None => true, // tenancy disabled: every job is visible
-            Some(p) => p.admin || owner == Some(p.name.as_str()),
-        }
-    }
-}
-
 impl SharedState {
     /// Principal-scoped job lookup — the only jobs-map read path handlers
     /// may use (enforced by the `tenant-scoped` lint rule). A job outside
     /// the caller's scope is indistinguishable from a missing one, so
     /// cross-tenant probes cannot enumerate ids.
-    fn job_for(&self, id: JobId, auth: &ConnAuth) -> Option<Arc<Job>> {
+    fn job_for(&self, id: JobId, auth: Option<&Principal>) -> Option<Arc<Job>> {
         self.jobs
             .lock()
             .get(&id)
-            .filter(|job| auth.may_see(job.spec.principal.as_deref()))
+            .filter(|job| crate::auth::may_see(auth, job.spec.principal.as_deref()))
             .cloned()
     }
 
     /// Principal-scoped job listing (see [`SharedState::job_for`]).
-    fn jobs_for(&self, auth: &ConnAuth) -> Vec<Arc<Job>> {
+    fn jobs_for(&self, auth: Option<&Principal>) -> Vec<Arc<Job>> {
         self.jobs
             .lock()
             .values()
-            .filter(|job| auth.may_see(job.spec.principal.as_deref()))
+            .filter(|job| crate::auth::may_see(auth, job.spec.principal.as_deref()))
             .cloned()
             .collect()
     }
@@ -606,7 +586,7 @@ impl Server {
     }
 
     /// Runs the accept loop in a background thread and returns a handle
-    /// (used by tests and the CLI smoke).
+    /// (used by tests).
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let runner_handles = self.spawn_runners();
@@ -636,13 +616,13 @@ impl ServerHandle {
         self.teardown(false);
     }
 
-    /// Crash-equivalent teardown for tests and smoke suites: severs every
-    /// open client connection mid-line — in-flight streams break with a
-    /// transport error on the peer, with no graceful `ERR`/`END` — then
-    /// stops like [`ServerHandle::shutdown`]. Journal-wise the two are
-    /// already identical (nothing is written once shutdown begins), so the
-    /// only observable difference is how abruptly clients are cut off:
-    /// exactly what failover and resume paths need to exercise.
+    /// Crash-equivalent teardown for tests: severs every open client
+    /// connection mid-line — in-flight streams break with a transport error
+    /// on the peer, with no graceful `ERR`/`END` — then stops like
+    /// [`ServerHandle::shutdown`]. Journal-wise the two are already
+    /// identical (nothing is written once shutdown begins), so the only
+    /// observable difference is how abruptly clients are cut off: exactly
+    /// what failover and resume paths need to exercise.
     pub fn kill(self) {
         self.teardown(true);
     }
@@ -713,7 +693,9 @@ fn write_line<W: Write>(stream: &mut W, line: &str) -> std::io::Result<()> {
 fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
-    let mut auth = ConnAuth::default();
+    // The principal this connection has authenticated as; `None` before a
+    // successful `AUTH`, and always on a server without a principal store.
+    let mut auth: Option<Principal> = None;
     // Every reply line leaves through this chokepoint, scrubbed of every
     // registered token — the no-token-ever-echoed guarantee does not rely
     // on each handler remembering to redact. (Result NDJSON lines stream
@@ -741,7 +723,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Re
         // The auth gate: with tenancy enabled, every verb except
         // PING/QUIT/AUTH requires a successful AUTH on this connection.
         if state.principals.is_some()
-            && auth.principal.is_none()
+            && auth.is_none()
             && !matches!(req, Request::Ping | Request::Quit | Request::Auth(_))
         {
             reply(&mut writer, "ERR authentication required (AUTH <token>)")?;
@@ -760,7 +742,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Re
                     }
                     Some(store) => match store.authenticate(&token) {
                         Some(p) => {
-                            auth.principal = Some(p.clone());
+                            auth = Some(p.clone());
                             format!(
                                 "OK principal={} weight={} admin={}",
                                 p.name, p.weight, p.admin
@@ -773,21 +755,21 @@ fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Re
                 reply(&mut writer, &resp)?;
             }
             Request::Submit(args) => {
-                let resp = match submit(state, &args, &auth) {
+                let resp = match submit(state, &args, auth.as_ref()) {
                     Ok(id) => format!("OK id={id} state=queued"),
                     Err(e) => format!("ERR {e}"),
                 };
                 reply(&mut writer, &resp)?;
             }
             Request::Status(id) => {
-                let resp = match state.job_for(id, &auth) {
+                let resp = match state.job_for(id, auth.as_ref()) {
                     Some(job) => status_line(&job, &state.secrets),
                     None => format!("ERR no such job {id}"),
                 };
                 reply(&mut writer, &resp)?;
             }
             Request::Cancel(id) => {
-                let resp = match state.job_for(id, &auth) {
+                let resp = match state.job_for(id, auth.as_ref()) {
                     Some(job) => {
                         job.request_cancel();
                         // A job cancelled while queued must also free its
@@ -805,7 +787,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Re
                 reply(&mut writer, &resp)?;
             }
             Request::List => {
-                let jobs = state.jobs_for(&auth);
+                let jobs = state.jobs_for(auth.as_ref());
                 for job in &jobs {
                     let s = job.snapshot();
                     let mut line = format!(
@@ -901,7 +883,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Re
                     "ERR router-only verb (this is a kplexd backend, not a kplexr router)",
                 )?;
             }
-            Request::Stream(id, from) => match state.job_for(id, &auth) {
+            Request::Stream(id, from) => match state.job_for(id, auth.as_ref()) {
                 Some(job) => stream_job(&mut writer, state, &job, from)?,
                 None => reply(&mut writer, &format!("ERR no such job {id}"))?,
             },
@@ -1035,49 +1017,20 @@ fn stream_job(
 
 // --- submission -------------------------------------------------------------
 
-/// Resolves the principal a submission runs **as**: the authenticated one,
-/// unless an admin tags another principal's name (the router's proxy
-/// path). Returns the effective principal, or `None` for the anonymous
-/// server.
-fn effective_principal(
-    state: &SharedState,
+fn submit(
+    state: &Arc<SharedState>,
     args: &SubmitArgs,
-    auth: &ConnAuth,
-) -> Result<Option<crate::auth::Principal>, String> {
-    let Some(store) = &state.principals else {
-        if args.principal.is_some() {
-            return Err("principal= requires a server started with --principals".into());
-        }
-        return Ok(None);
-    };
-    let Some(me) = &auth.principal else {
-        // Unreachable past the connection's auth gate; kept as defense.
-        return Err("authentication required (AUTH <token>)".into());
-    };
-    match &args.principal {
-        None => Ok(Some(me.clone())),
-        Some(tag) if *tag == me.name => Ok(Some(me.clone())),
-        Some(tag) => {
-            if !me.admin {
-                return Err(
-                    "only an admin principal may submit on another principal's behalf".into(),
-                );
-            }
-            store
-                .by_name(tag)
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| format!("unknown principal {tag:?}"))
-        }
-    }
-}
-
-fn submit(state: &Arc<SharedState>, args: &SubmitArgs, auth: &ConnAuth) -> Result<JobId, String> {
+    auth: Option<&Principal>,
+) -> Result<JobId, String> {
     if state.shutdown.load(Ordering::Acquire) {
         // The runner pool is gone; accepting would queue the job forever.
         return Err("server shutting down".into());
     }
-    let principal = effective_principal(state, args, auth)?;
+    let principal = crate::auth::effective_principal(
+        state.principals.as_ref(),
+        auth,
+        args.principal.as_deref(),
+    )?;
     let mut spec = validate(state.default_threads, state.default_store, args)?;
     spec.principal = principal.as_ref().map(|p| p.name.clone());
     // What the journal must remember is the *effective* principal — an

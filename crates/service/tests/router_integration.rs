@@ -2,14 +2,14 @@
 //! (asserted against the exported placement function), warm-cache affinity
 //! across resubmissions, queued-job failover when a backend dies, the
 //! ADDNODE/DROPNODE admin surface, proactive health probing with flap
-//! suppression, and active rebalancing of queued jobs on topology changes.
-//! All listeners bind port 0.
+//! suppression, active rebalancing of queued jobs on topology changes, and
+//! tenancy enforced at the router edge. All listeners bind port 0.
 
 use kplex_core::{enumerate_count, AlgoConfig, Params};
 use kplex_service::router::{pick_backend, routing_key};
 use kplex_service::{
-    Client, ClientError, ProbeConfig, Router, RouterConfig, Server, ServerConfig, ServerHandle,
-    SubmitArgs,
+    Client, ClientError, PrincipalStore, ProbeConfig, Router, RouterConfig, Server, ServerConfig,
+    ServerHandle, SubmitArgs,
 };
 use std::time::{Duration, Instant};
 
@@ -161,6 +161,21 @@ fn routing_is_rendezvous_stable_and_cache_affine() {
             "job attributed to unknown backend: {job:?}"
         );
     }
+
+    // The router's STATS forwards each backend's cache counters: the four
+    // warm resubmits show up there. A resubmit that started while its
+    // twin's load was still in flight counts as coalesced, not as a hit.
+    let stats = c.stats().expect("stats");
+    let warm: u64 = (0..backends.len())
+        .flat_map(|i| {
+            [
+                format!("node{i}-cache-hits"),
+                format!("node{i}-cache-coalesced"),
+            ]
+        })
+        .map(|key| stats[&key].parse::<u64>().expect("numeric cache counter"))
+        .sum();
+    assert!(warm >= 4, "4 warm resubmits, per-node STATS: {stats:?}");
 
     router.shutdown();
     a.shutdown();
@@ -682,4 +697,136 @@ fn probe_rejoin_revives_a_backend_and_rebalances() {
     router.shutdown();
     a.shutdown();
     revived.shutdown();
+}
+
+/// Tenancy at the router edge: two tenancy-enabled backends behind a
+/// tenancy-enabled router, all three sharing one principal file. The
+/// router gates verbs on AUTH, rejects over-quota submits itself, hides
+/// other tenants' jobs, scopes LIST, aggregates per-tenant STATS across
+/// backends, and never echoes a registered token, not even one an admin
+/// registered as a node address.
+#[test]
+fn router_enforces_tenancy_at_the_edge() {
+    let pfile = std::env::temp_dir().join(format!(
+        "kplex-router-tenancy-{}.principals",
+        std::process::id()
+    ));
+    std::fs::write(
+        &pfile,
+        "tok-alice:alice:4:2:1:-\ntok-batch:batch:1:64:8:-\ntok-root:root:1:0:0:admin\n",
+    )
+    .expect("write principals");
+    let store = PrincipalStore::load(&pfile).expect("load principals");
+    std::fs::remove_file(&pfile).ok();
+    let start = || {
+        Server::bind(&ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            runners: 1,
+            principals: Some(store.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("bind backend")
+        .spawn()
+        .expect("spawn backend")
+    };
+    let (a, b) = (start(), start());
+    let router = Router::bind(&RouterConfig {
+        addr: "127.0.0.1:0".to_string(),
+        backends: vec![a.addr().to_string(), b.addr().to_string()],
+        principals: Some(store.clone()),
+        ..RouterConfig::default()
+    })
+    .expect("bind router")
+    .spawn()
+    .expect("spawn router");
+    let remote_err = |r: Result<_, ClientError>| match r {
+        Err(ClientError::Remote(msg)) => msg,
+        other => panic!("expected a remote error, got {other:?}"),
+    };
+
+    // The auth gate: PING passes, anything else needs a valid token.
+    let mut alice = Client::connect(router.addr()).expect("connect alice");
+    alice.ping().expect("PING is exempt from the auth gate");
+    let msg = remote_err(alice.stats().map(|_| ()));
+    assert!(msg.contains("authentication required"), "{msg}");
+    assert_eq!(
+        remote_err(alice.auth("tok-nobody").map(|_| ())),
+        "unknown token"
+    );
+    let who = alice.auth("tok-alice").expect("auth alice");
+    assert_eq!(who.get("principal").map(String::as_str), Some("alice"));
+
+    // Edge quota: alice's max-queued is 2. The router's records stay
+    // `queued` until observed, so her third submit bounces off the router
+    // itself, deterministically.
+    let slow = SubmitArgs {
+        threads: Some(1),
+        throttle_us: Some(3000),
+        ..SubmitArgs::dataset("jazz", 2, 7)
+    };
+    let id1 = alice.submit(&slow).expect("first submit");
+    let id2 = alice.submit(&slow).expect("second submit");
+    let msg = remote_err(alice.submit(&slow).map(|_| ()));
+    assert!(msg.contains("quota exceeded"), "{msg}");
+
+    // Another tenant cannot see alice's jobs: they look nonexistent.
+    let mut batch = Client::connect(router.addr()).expect("connect batch");
+    batch.auth("tok-batch").expect("auth batch");
+    let msg = remote_err(batch.status(id1).map(|_| ()));
+    assert!(msg.starts_with("no such job"), "{msg}");
+    let msg = remote_err(batch.stream_while(id1, |_, _| true).map(|_| ()));
+    assert!(msg.starts_with("no such job"), "{msg}");
+
+    // The owner can cancel; batch's own job streams the in-process count.
+    alice.cancel(id1).expect("owner cancels");
+    alice.cancel(id2).expect("owner cancels");
+    let expected = ground_truth("jazz", 2, 9);
+    let bid = batch
+        .submit(&SubmitArgs {
+            threads: Some(1),
+            ..SubmitArgs::dataset("jazz", 2, 9)
+        })
+        .expect("batch submit");
+    let mut streamed = 0u64;
+    let end = batch.stream(bid, |_, _| streamed += 1).expect("stream");
+    assert_eq!(end.get("state").map(String::as_str), Some("done"));
+    assert_eq!(streamed, expected);
+
+    // LIST is scoped: batch sees only its own jobs, the admin sees more.
+    let mine = batch.list().expect("batch list");
+    assert!(!mine.is_empty());
+    assert!(
+        mine.iter().all(|j| j["principal"] == "batch"),
+        "batch's LIST leaked foreign jobs: {mine:?}"
+    );
+    let mut root = Client::connect(router.addr()).expect("connect root");
+    root.auth("tok-root").expect("auth root");
+    let all = root.list().expect("root list");
+    assert!(all.len() > mine.len(), "admin LIST: {all:?}");
+
+    // STATS sums every backend's per-tenant byte counters.
+    let stats = root.stats().expect("stats");
+    assert_eq!(stats.get("tenants").map(String::as_str), Some("3"));
+    let batch_bytes: u64 = (0..3)
+        .find(|i| stats[&format!("tenant{i}-name")] == "batch")
+        .map(|i| stats[&format!("tenant{i}-bytes")].parse().expect("numeric"))
+        .expect("batch in STATS");
+    assert!(batch_bytes > 0, "{stats:?}");
+
+    // ADDNODE takes any single word as an address and NODES is open to
+    // every tenant, so a token pasted as an address must come back
+    // redacted like every other reply line.
+    root.add_node("tok-batch").expect("addnode");
+    let nodes = alice.nodes().expect("nodes");
+    assert!(
+        nodes
+            .iter()
+            .flat_map(|n| n.values())
+            .all(|v| !v.contains("tok-batch")),
+        "NODES echoed a registered token: {nodes:?}"
+    );
+
+    router.shutdown();
+    a.shutdown();
+    b.shutdown();
 }

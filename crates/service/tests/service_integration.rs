@@ -322,21 +322,52 @@ fn throttle_paces_the_stream() {
     handle.shutdown();
 }
 
-/// The straggler-splitting (`tau-us`) path: an explicit τ must not change
-/// the result count.
+/// Neither the straggler-splitting (`tau-us`) path nor the compressed and
+/// out-of-core mmap stores may change the result count. STATS then reports
+/// the resident prepared graphs by backend; an mmap job's reduced graph is
+/// held compressed.
 #[test]
 fn tau_override_preserves_counts() {
     let expected = ground_truth("jazz", 2, 9);
     let handle = start_server(1, 8);
     let mut c = Client::connect(handle.addr()).expect("connect");
-    let mut args = SubmitArgs::dataset("jazz", 2, 9);
-    args.threads = Some(2);
-    args.tau_us = Some(50);
-    let id = c.submit(&args).expect("submit");
-    let mut streamed = 0u64;
-    let end = c.stream(id, |_, _| streamed += 1).expect("stream");
-    assert_eq!(end.get("state").map(String::as_str), Some("done"));
-    assert_eq!(streamed, expected, "tau-us must not change the result set");
+    let base = SubmitArgs {
+        threads: Some(2),
+        ..SubmitArgs::dataset("jazz", 2, 9)
+    };
+    let inputs = [
+        SubmitArgs {
+            tau_us: Some(50),
+            ..base.clone()
+        },
+        SubmitArgs {
+            store: Some("compressed".into()),
+            ..base.clone()
+        },
+        SubmitArgs {
+            store: Some("mmap".into()),
+            ..base
+        },
+    ];
+    for args in &inputs {
+        let id = c.submit(args).expect("submit");
+        let mut streamed = 0u64;
+        let end = c.stream(id, |_, _| streamed += 1).expect("stream");
+        assert_eq!(
+            end.get("state").map(String::as_str),
+            Some("done"),
+            "{args:?}"
+        );
+        assert_eq!(streamed, expected, "{args:?} changed the result set");
+    }
+    let stats = c.stats().expect("stats");
+    let bytes: u64 = stats["graph-bytes"].parse().expect("numeric graph-bytes");
+    assert!(bytes > 0, "resident cache entries hold no bytes: {stats:?}");
+    let store = &stats["store"];
+    assert!(
+        store.contains("csr:") && store.contains("compressed:"),
+        "STATS store= must name both resident backends: {stats:?}"
+    );
     handle.shutdown();
 }
 
