@@ -577,11 +577,22 @@ mod tests {
 
     #[test]
     fn result_cap_stops_all_workers_promptly() {
-        let (g, params) = deep_instance();
+        // A dense random graph with sparse results: ~18k serial branch
+        // calls for 185 results, so each of the 4 workers has ~70 stop
+        // strides (64 recursions each) of work. How many tasks happen to
+        // be in flight when the cap is hit then moves the capped run's
+        // work by a few strides at most, never near half the serial work.
+        let g = gen::gnp(50, 0.6, 5);
+        let params = Params::new(2, 11).unwrap();
         let cfg = AlgoConfig::ours();
         let (_, serial_stats) = enumerate_collect(&g, params, &cfg);
         assert!(serial_stats.outputs > 4, "instance must have results");
         let m = 4;
+        assert!(
+            serial_stats.branch_calls > 50 * 64 * m as u64,
+            "instance too small to measure promptness: {} serial branch calls",
+            serial_stats.branch_calls
+        );
         let mut opts = EngineOptions::with_threads(m);
         opts.timeout = None; // tasks are whole subtrees: stop must land *inside* them
         let seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -598,8 +609,9 @@ mod tests {
             total <= cap + m as u64,
             "stop did not propagate across workers: {total} results for cap {cap}"
         );
-        // Promptness: the polled in-kernel stop check must abort result-free
-        // subtrees too, so the capped run does a fraction of the full work.
+        // Promptness: once the cap is hit, every worker stops within a
+        // stop stride, at its next report or before its next task, so the
+        // capped run does a small fraction of the full work.
         assert!(
             stats.branch_calls < serial_stats.branch_calls / 2,
             "workers kept searching after the cap: {} vs serial {}",

@@ -8,7 +8,7 @@
 use crate::protocol::{self, JobId, SubmitArgs};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Client-side failure.
@@ -44,6 +44,9 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The last line read; reused so reading a reply or a streamed result
+    /// allocates nothing once it has grown to a line's length.
+    line: String,
 }
 
 impl Client {
@@ -84,22 +87,23 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
+            line: String::new(),
         })
     }
 
     fn send(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
+        Ok(protocol::write_line(&mut self.writer, line)?)
     }
 
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+    /// Reads the next line into the reused buffer and returns it without
+    /// its line ending.
+    fn read_line(&mut self) -> Result<&str, ClientError> {
+        self.line.clear();
+        let n = self.reader.read_line(&mut self.line)?;
         if n == 0 {
             return Err(ClientError::Protocol("server closed the connection".into()));
         }
-        Ok(line.trim_end().to_string())
+        Ok(self.line.trim_end())
     }
 
     /// One simple request: sends `line`, expects a single `OK …` line and
@@ -113,7 +117,7 @@ impl Client {
         if !resp.starts_with("OK") {
             return Err(ClientError::Protocol(format!("unexpected reply {resp:?}")));
         }
-        protocol::parse_response_fields(&resp).map_err(ClientError::Protocol)
+        protocol::parse_response_fields(resp).map_err(ClientError::Protocol)
     }
 
     /// Authenticates this connection as the principal owning `token`
@@ -136,7 +140,7 @@ impl Client {
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), ClientError> {
         self.send("PING")?;
-        match self.read_line()?.as_str() {
+        match self.read_line()? {
             "OK pong" => Ok(()),
             other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
         }
@@ -230,7 +234,7 @@ impl Client {
             if line.starts_with("END") {
                 return Ok(rows);
             }
-            rows.push(protocol::parse_response_fields(&line).map_err(ClientError::Protocol)?);
+            rows.push(protocol::parse_response_fields(line).map_err(ClientError::Protocol)?);
         }
     }
 
@@ -273,8 +277,7 @@ impl Client {
     /// Like [`Client::stream`], but `on_plex` returning `false` abandons the
     /// stream immediately with `Ok(None)` — the caller should then drop this
     /// client, which closes the connection and lets the server stop
-    /// producing. Used by the router to stop draining a backend once its own
-    /// downstream client has gone away.
+    /// producing.
     pub fn stream_while(
         &mut self,
         id: JobId,
@@ -283,30 +286,46 @@ impl Client {
         self.stream_while_from(id, 0, on_plex)
     }
 
-    /// [`Client::stream_while`] with a resume offset — the primitive under
-    /// all four streaming entry points (the router's transparent mid-stream
-    /// failover uses exactly this).
+    /// [`Client::stream_while`] with a resume offset.
     pub fn stream_while_from(
         &mut self,
         id: JobId,
         from: u64,
         mut on_plex: impl FnMut(u64, Vec<u32>) -> bool,
     ) -> Result<Option<BTreeMap<String, String>>, ClientError> {
+        self.stream_slices_from(id, from, |seq, plex, _| on_plex(seq, plex.to_vec()))
+    }
+
+    /// The primitive under every streaming entry point (the router's
+    /// transparent mid-stream failover uses it directly). Each result is
+    /// handed to `on_plex(seq, plex, more)` as a slice of one reused
+    /// buffer; `more` is true when further input has already arrived, so a
+    /// forwarder that batches its writes flushes exactly when it is false.
+    /// `on_plex` returning `false` abandons the stream with `Ok(None)`.
+    pub(crate) fn stream_slices_from(
+        &mut self,
+        id: JobId,
+        from: u64,
+        mut on_plex: impl FnMut(u64, &[u32], bool) -> bool,
+    ) -> Result<Option<BTreeMap<String, String>>, ClientError> {
         self.send(&protocol::render_request(&protocol::Request::Stream(
             id, from,
         )))?;
+        let mut plex = Vec::new();
         loop {
             let line = self.read_line()?;
             if let Some(msg) = line.strip_prefix("ERR ") {
                 return Err(ClientError::Remote(msg.to_string()));
             }
             if line.starts_with("END") {
-                return protocol::parse_response_fields(&line)
+                return protocol::parse_response_fields(line)
                     .map(Some)
                     .map_err(ClientError::Protocol);
             }
-            let (_, seq, plex) = protocol::parse_plex_line(&line).map_err(ClientError::Protocol)?;
-            if !on_plex(seq, plex) {
+            let (_, seq) =
+                protocol::parse_plex_line_into(line, &mut plex).map_err(ClientError::Protocol)?;
+            let more = !self.reader.buffer().is_empty();
+            if !on_plex(seq, &plex, more) {
                 return Ok(None);
             }
         }

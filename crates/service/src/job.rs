@@ -4,9 +4,11 @@
 //! workers append results straight into the job's buffer (bounded by the
 //! job's result cap, stored flat as a `PlexBuf`) under a mutex + condvar,
 //! so any number of `STREAM` readers can follow a running job from the
-//! beginning and late subscribers replay everything. Cancellation is
-//! cooperative: the shared [`Job::cancel`] flag is the same `Arc` the
-//! engine's workers poll, so raising it stops the enumeration mid-task.
+//! beginning and late subscribers replay everything. An append wakes the
+//! condvar only while a reader is blocked on it, so a job nobody follows
+//! live pays no wakeup per result. Cancellation is cooperative: the shared
+//! [`Job::cancel`] flag is the same `Arc` the engine's workers poll, so
+//! raising it stops the enumeration mid-task.
 
 use crate::protocol::JobId;
 use crate::sync::{OrderedCondvar, OrderedGuard, OrderedMutex, Rank};
@@ -211,6 +213,9 @@ struct Progress {
     stop_cause: Option<StopCause>,
     started: Option<Instant>,
     elapsed: Option<Duration>,
+    /// `STREAM` readers blocked in [`Job::next_results`]'s wait, which
+    /// [`Job::append_result`] must wake.
+    stream_waiters: usize,
 }
 
 impl Progress {
@@ -363,6 +368,7 @@ impl Job {
                     stop_cause: None,
                     started: None,
                     elapsed: None,
+                    stream_waiters: 0,
                 },
             ),
             cond: OrderedCondvar::new(),
@@ -400,6 +406,12 @@ impl Job {
     /// count. The append that fills the buffer to the cap notes the cap as
     /// the job's stop cause, so a caller seeing `limit` back only has to
     /// stop reporting. Called by every engine worker of a running job.
+    ///
+    /// Wakes the condvar only when a `STREAM` reader is blocked on it: the
+    /// waiter count is kept under this same lock, so a reader is either
+    /// counted (and woken) or has not yet checked the buffer (and will see
+    /// this result). The deadline watchdog, the condvar's other sleeper,
+    /// waits for terminal transitions, which notify unconditionally.
     pub fn append_result(&self, plex: impl AsRef<[VertexId]>) -> u64 {
         let mut p = self.lock();
         if (p.results.len() as u64) < self.spec.limit {
@@ -407,7 +419,9 @@ impl Job {
             if p.results.len() as u64 == self.spec.limit {
                 p.note_stop_cause(StopCause::Cap);
             }
-            self.cond.notify_all();
+            if p.stream_waiters > 0 {
+                self.cond.notify_all();
+            }
         }
         p.results.len() as u64
     }
@@ -508,35 +522,39 @@ impl Job {
     /// copy is chunked so a late subscriber catching up on a large backlog
     /// holds the job lock for O(chunk), never O(backlog) — the engine
     /// workers' `append_result` and `STATUS` snapshots stay responsive.
+    ///
+    /// The flag is true when the reader is caught up: `buf` now ends at the
+    /// last result buffered so far, so nothing more is ready to send.
     pub(crate) fn next_results(
         &self,
         from: usize,
         buf: &mut PlexBuf,
         wait: Duration,
-    ) -> StreamStep {
+    ) -> (StreamStep, bool) {
         /// Results copied out per lock acquisition.
         const CHUNK: usize = 1024;
         let copy = |p: &Progress, buf: &mut PlexBuf| {
             let to = p.results.len().min(from + CHUNK);
             buf.extend_from(&p.results, from..to);
+            (StreamStep::Items, to == p.results.len())
         };
         let mut p = self.lock();
         if p.results.len() > from {
-            copy(&p, buf);
-            return StreamStep::Items;
+            return copy(&p, buf);
         }
         if p.state.is_terminal() {
-            return StreamStep::Ended(p.state, p.results.len() as u64);
+            return (StreamStep::Ended(p.state, p.results.len() as u64), true);
         }
+        p.stream_waiters += 1;
         let (p2, _timed_out) = self.cond.wait_timeout(p, wait);
         p = p2;
+        p.stream_waiters -= 1;
         if p.results.len() > from {
-            copy(&p, buf);
-            StreamStep::Items
+            copy(&p, buf)
         } else if p.state.is_terminal() {
-            StreamStep::Ended(p.state, p.results.len() as u64)
+            (StreamStep::Ended(p.state, p.results.len() as u64), true)
         } else {
-            StreamStep::Idle
+            (StreamStep::Idle, true)
         }
     }
 }
@@ -648,7 +666,7 @@ mod tests {
         let mut buf = PlexBuf::default();
         assert!(matches!(
             job.next_results(0, &mut buf, Duration::from_millis(1)),
-            StreamStep::Items
+            (StreamStep::Items, true)
         ));
         assert_eq!(buf.len(), 3);
         // A read from a non-zero offset starts at that plex's first vertex,
@@ -657,21 +675,71 @@ mod tests {
         buf.push(&[9, 9]);
         assert!(matches!(
             job.next_results(1, &mut buf, Duration::from_millis(1)),
-            StreamStep::Items
+            (StreamStep::Items, true)
         ));
         let plexes: Vec<&[VertexId]> = buf.iter().collect();
         assert_eq!(plexes, [&[9, 9][..], &[2, 3, 4], &[5, 6]]);
         assert!(matches!(
             job.next_results(3, &mut buf, Duration::from_millis(1)),
-            StreamStep::Idle
+            (StreamStep::Idle, true)
         ));
         job.finish(SearchStats::default());
-        match job.next_results(3, &mut buf, Duration::from_millis(1)) {
+        match job.next_results(3, &mut buf, Duration::from_millis(1)).0 {
             StreamStep::Ended(state, total) => {
                 assert_eq!(state, JobState::Done);
                 assert_eq!(total, 3);
             }
             _ => panic!("expected end of stream"),
         }
+    }
+
+    #[test]
+    fn a_chunk_short_of_the_backlog_is_not_caught_up() {
+        let job = Job::new(
+            7,
+            JobSpec {
+                limit: 5000,
+                ..spec()
+            },
+        );
+        job.mark_running();
+        for v in 0..1500 {
+            job.append_result([v]);
+        }
+        let mut buf = PlexBuf::default();
+        let (step, caught_up) = job.next_results(0, &mut buf, Duration::ZERO);
+        assert!(matches!(step, StreamStep::Items));
+        assert!(!caught_up, "1500 buffered, {} copied", buf.len());
+        let (step, caught_up) = job.next_results(buf.len(), &mut buf, Duration::ZERO);
+        assert!(matches!(step, StreamStep::Items));
+        assert!(caught_up);
+        assert_eq!(buf.len(), 1500);
+    }
+
+    #[test]
+    fn an_append_wakes_a_blocked_reader() {
+        let job = Job::new(8, spec());
+        job.mark_running();
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let started = Instant::now();
+                let mut buf = PlexBuf::default();
+                let (step, _) = job.next_results(0, &mut buf, Duration::from_secs(10));
+                (matches!(step, StreamStep::Items), started.elapsed())
+            });
+            // The reader counts itself under the lock and the condvar wait
+            // releases that lock atomically, so once the count shows under
+            // the lock the reader is parked and the append must wake it.
+            while job.lock().stream_waiters == 0 {
+                std::hint::spin_loop();
+            }
+            job.append_result([1, 2]);
+            let (items, waited) = reader.join().expect("reader panicked");
+            assert!(items, "the reader must return the appended result");
+            assert!(
+                waited < Duration::from_secs(5),
+                "the append did not wake the reader: it waited {waited:?}"
+            );
+        });
     }
 }

@@ -355,23 +355,72 @@ pub fn sanitize_value_redacted(s: &str, secrets: &[String]) -> String {
     redact_secrets(&sanitize_value(s), secrets)
 }
 
+/// Writes `line` and its newline with one `write_all`: an unbuffered
+/// socket then sends the reply as one segment, not the line and a lone
+/// `\n` after it.
+pub(crate) fn write_line<W: std::io::Write>(out: &mut W, line: &str) -> std::io::Result<()> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    out.write_all(framed.as_bytes())
+}
+
 /// Renders one streamed result as an NDJSON line:
 /// `{"id":3,"seq":0,"plex":[1,2,3]}`.
 pub fn render_plex_line(id: JobId, seq: u64, plex: &[u32]) -> String {
-    let mut s = format!("{{\"id\":{id},\"seq\":{seq},\"plex\":[");
-    for (i, v) in plex.iter().enumerate() {
+    let mut out = Vec::new();
+    write_plex_line(&mut out, id, seq, plex);
+    String::from_utf8(out).expect("a rendered plex line is ASCII")
+}
+
+/// Appends the [`render_plex_line`] form of one result to `out`, without a
+/// newline. The stream paths reuse one buffer for every line, so rendering
+/// a result allocates nothing once the buffer has grown to a line's length.
+pub fn write_plex_line(out: &mut Vec<u8>, id: JobId, seq: u64, plex: &[u32]) {
+    out.extend_from_slice(b"{\"id\":");
+    push_decimal(out, id);
+    out.extend_from_slice(b",\"seq\":");
+    push_decimal(out, seq);
+    out.extend_from_slice(b",\"plex\":[");
+    for (i, &v) in plex.iter().enumerate() {
         if i > 0 {
-            s.push(',');
+            out.push(b',');
         }
-        s.push_str(&v.to_string());
+        push_decimal(out, u64::from(v));
     }
-    s.push_str("]}");
-    s
+    out.extend_from_slice(b"]}");
+}
+
+/// Appends the decimal digits of `v`.
+fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Parses a streamed NDJSON result line back into `(id, seq, plex)`.
 /// Accepts exactly the shape [`render_plex_line`] produces.
 pub fn parse_plex_line(line: &str) -> Result<(JobId, u64, Vec<u32>), String> {
+    let mut plex = Vec::new();
+    let (id, seq) = parse_plex_line_into(line, &mut plex)?;
+    Ok((id, seq, plex))
+}
+
+/// [`parse_plex_line`] into a caller's buffer: returns `(id, seq)` and
+/// replaces the contents of `plex` with the line's vertex ids. A stream
+/// reader reuses one buffer for every line instead of allocating one per
+/// result. On error `plex` holds no meaningful content.
+pub fn parse_plex_line_into(line: &str, plex: &mut Vec<u32>) -> Result<(JobId, u64), String> {
+    plex.clear();
     let inner = line
         .trim()
         .strip_prefix('{')
@@ -379,7 +428,7 @@ pub fn parse_plex_line(line: &str) -> Result<(JobId, u64, Vec<u32>), String> {
         .ok_or("not a JSON object")?;
     let mut id = None;
     let mut seq = None;
-    let mut plex = None;
+    let mut saw_plex = false;
     // Split on the three known keys; the only nested structure is the array.
     let mut rest = inner;
     while !rest.is_empty() {
@@ -401,22 +450,25 @@ pub fn parse_plex_line(line: &str) -> Result<(JobId, u64, Vec<u32>), String> {
             "id" => id = Some(value.parse().map_err(|_| "bad id")?),
             "seq" => seq = Some(value.parse().map_err(|_| "bad seq")?),
             "plex" => {
-                let vs: Result<Vec<u32>, _> = if value.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    value.split(',').map(|t| t.trim().parse()).collect()
-                };
-                plex = Some(vs.map_err(|_| "bad plex element")?);
+                // A repeated key replaces the earlier array.
+                plex.clear();
+                if !value.is_empty() {
+                    for t in value.split(',') {
+                        plex.push(t.trim().parse().map_err(|_| "bad plex element")?);
+                    }
+                }
+                saw_plex = true;
             }
             other => return Err(format!("unknown key {other:?}")),
         }
         rest = tail;
     }
-    Ok((
-        id.ok_or("missing id")?,
-        seq.ok_or("missing seq")?,
-        plex.ok_or("missing plex")?,
-    ))
+    let id = id.ok_or("missing id")?;
+    let seq = seq.ok_or("missing seq")?;
+    if !saw_plex {
+        return Err("missing plex".into());
+    }
+    Ok((id, seq))
 }
 
 #[cfg(test)]
@@ -569,6 +621,12 @@ mod tests {
         let empty = render_plex_line(1, 0, &[]);
         assert_eq!(parse_plex_line(&empty).unwrap(), (1, 0, vec![]));
         assert!(parse_plex_line("not json").is_err());
+        let extremes = render_plex_line(u64::MAX, u64::MAX, &[0, u32::MAX]);
+        assert_eq!(
+            extremes,
+            "{\"id\":18446744073709551615,\"seq\":18446744073709551615,\
+             \"plex\":[0,4294967295]}"
+        );
     }
 
     #[test]

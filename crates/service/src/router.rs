@@ -540,6 +540,9 @@ fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>) {
                 if state.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                // Replies leave whole and streams flush when nothing more
+                // is ready, so Nagle could only delay a reply's tail.
+                stream.set_nodelay(true).ok();
                 let state = state.clone();
                 std::thread::spawn(move || {
                     let _ = handle_connection(stream, &state);
@@ -778,25 +781,17 @@ fn place(state: &Arc<RouterState>, args: &SubmitArgs) -> Result<(String, JobId),
 
 // --- connection handling ----------------------------------------------------
 
-/// [`write_line`] through the token-redaction chokepoint: with a principal
-/// store loaded, every registered token is scrubbed before the line hits
-/// the wire. Streamed NDJSON plex lines deliberately bypass this — they
-/// are numeric-only by construction and form the hot path.
-fn reply_line(writer: &mut TcpStream, state: &RouterState, line: &str) -> std::io::Result<()> {
+/// One reply line through the token-redaction chokepoint: with a
+/// principal store loaded, every registered token is scrubbed before the
+/// line hits the wire. Streamed NDJSON plex lines deliberately bypass this
+/// — [`proxy_stream`] re-renders each from parsed numbers, so they are
+/// numeric-only by construction, and they form the hot path.
+fn reply_line<W: Write>(writer: &mut W, state: &RouterState, line: &str) -> std::io::Result<()> {
     if state.secrets.is_empty() {
-        write_line(writer, line)
+        protocol::write_line(writer, line)
     } else {
-        write_line(writer, &protocol::redact_secrets(line, &state.secrets))
+        protocol::write_line(writer, &protocol::redact_secrets(line, &state.secrets))
     }
-}
-
-/// One `write_all` per line (no buffering): streamed results must reach a
-/// live follower promptly even when the backend trickles them out.
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    let mut framed = String::with_capacity(line.len() + 1);
-    framed.push_str(line);
-    framed.push('\n');
-    stream.write_all(framed.as_bytes())
 }
 
 /// Pre-proxy visibility check for `STATUS`/`CANCEL`/`STREAM`: an unknown
@@ -1267,28 +1262,44 @@ fn proxy_cancel(state: &Arc<RouterState>, rid: JobId) -> String {
 /// with `STREAM … FROM next_seq`. The client sees one gapless,
 /// duplicate-free stream; the only surviving failure mode is every
 /// placement dying ([`MAX_PROXY_ATTEMPTS`] times over).
+///
+/// Lines reach the client through one `BufWriter`, flushed whenever the
+/// backend connection has nothing more buffered and before the closing
+/// `END` or `ERR`: a backlog is forwarded in full buffers, and a trickle
+/// line by line as it arrives.
 fn proxy_stream(
     writer: &mut TcpStream,
     state: &Arc<RouterState>,
     rid: JobId,
     from: u64,
 ) -> std::io::Result<()> {
+    let mut out = std::io::BufWriter::new(writer);
+    let last = forward_results(&mut out, state, rid, from)?;
+    reply_line(&mut out, state, &last)?;
+    out.flush()
+}
+
+/// The body of [`proxy_stream`]: forwards results into `out` and returns
+/// the closing `END` or `ERR` line. An `Err` means the downstream client
+/// went away.
+fn forward_results(
+    out: &mut impl Write,
+    state: &Arc<RouterState>,
+    rid: JobId,
+    from: u64,
+) -> std::io::Result<String> {
     let mut next_seq = from;
+    let mut line = Vec::new();
     for _ in 0..MAX_PROXY_ATTEMPTS {
         let Some(job) = lookup(state, rid) else {
-            return reply_line(writer, state, &format!("ERR no such job {rid}"));
+            return Ok(format!("ERR no such job {rid}"));
         };
-        if job.error.is_some() {
+        if let Some(error) = &job.error {
             // Locally terminated: an empty, well-formed stream.
-            let error = job.error.as_deref().unwrap_or("backend_lost");
-            return reply_line(
-                writer,
-                state,
-                &format!(
-                    "END id={rid} state={} results=0 error={error}",
-                    job.last_state
-                ),
-            );
+            return Ok(format!(
+                "END id={rid} state={} results=0 error={error}",
+                job.last_state
+            ));
         }
         // Reads rotate over primary + live replicas (each replica runs the
         // same job, so any of them can serve the suffix from `next_seq`).
@@ -1300,14 +1311,21 @@ fn proxy_stream(
         let primary = t_backend == job.backend && t_remote == job.remote_id;
         let mut forwarded = 0u64;
         let mut write_err: Option<std::io::Error> = None;
-        // `stream_while_from` aborts (and the connection drops, stopping
-        // the backend's producer) as soon as a downstream write fails — the
-        // router must not drain a 10^9-result stream nobody is reading.
+        // The backend stream is abandoned (and the connection dropped,
+        // stopping the backend's producer) as soon as a downstream write
+        // fails — the router must not drain a 10^9-result stream nobody is
+        // reading.
         let streamed = streaming(state, &t_backend).and_then(|mut c| {
-            c.stream_while_from(t_remote, next_seq, |seq, plex| {
-                // Rewrite the NDJSON id field to the router namespace.
-                let line = protocol::render_plex_line(rid, seq, &plex);
-                match write_line(writer, &line) {
+            c.stream_slices_from(t_remote, next_seq, |seq, plex, more| {
+                // Re-rendered from parsed numbers, with the id rewritten to
+                // the router namespace.
+                line.clear();
+                protocol::write_plex_line(&mut line, rid, seq, plex);
+                line.push(b'\n');
+                let written =
+                    out.write_all(&line)
+                        .and_then(|()| if more { Ok(()) } else { out.flush() });
+                match written {
                     Ok(()) => {
                         next_seq = seq + 1;
                         forwarded += 1;
@@ -1327,7 +1345,7 @@ fn proxy_stream(
             })
         });
         if let Some(e) = write_err {
-            return Err(e); // downstream client went away
+            return Err(e);
         }
         match streamed {
             Ok(None) => unreachable!("an aborted stream sets write_err"),
@@ -1337,25 +1355,23 @@ fn proxy_stream(
                         note_state(state, rid, observed, &job);
                     }
                 }
-                return reply_line(writer, state, &rewrite_fields("END", rid, &end, &t_backend));
+                return Ok(rewrite_fields("END", rid, &end, &t_backend));
             }
             Err(ClientError::Remote(msg)) if msg.starts_with("no such job") => {
                 if primary {
-                    return reply_line(
-                        writer,
-                        state,
-                        &format!("ERR results for job {rid} were evicted on {t_backend}"),
-                    );
+                    return Ok(format!(
+                        "ERR results for job {rid} were evicted on {t_backend}"
+                    ));
                 }
                 // A replica evicted its copy: rotate to the next target.
             }
-            Err(ClientError::Remote(msg)) => {
-                return reply_line(writer, state, &format!("ERR {msg}"))
-            }
+            Err(ClientError::Remote(msg)) => return Ok(format!("ERR {msg}")),
             Err(_) => {
-                // Transport failure mid-stream. The client has consumed
-                // exactly [from, next_seq); fail the backend over and
-                // resume the missing suffix on the job's next placement.
+                // Transport failure mid-stream. Write out every buffered
+                // line first, so the client has received exactly
+                // [from, next_seq); then fail the backend over and resume
+                // the missing suffix on the job's next placement.
+                out.flush()?;
                 mark_backend_dead(state, &t_backend);
                 if primary {
                     recover_job(state, rid, &job.backend);
@@ -1364,7 +1380,7 @@ fn proxy_stream(
             }
         }
     }
-    reply_line(writer, state, &format!("ERR job {rid} unreachable"))
+    Ok(format!("ERR job {rid} unreachable"))
 }
 
 fn list(

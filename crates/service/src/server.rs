@@ -662,6 +662,11 @@ fn accept_loop(listener: &TcpListener, state: &Arc<SharedState>) {
                 if state.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                // Every reply is written whole (one line, or a batch of
+                // stream lines flushed when nothing more is ready), so
+                // Nagle could only hold back a reply's tail until the
+                // client's delayed ACK.
+                stream.set_nodelay(true).ok();
                 // Register the connection so `kill()` can sever it; the
                 // handler thread deregisters itself on exit, keeping the
                 // registry bounded by *open* connections.
@@ -685,11 +690,6 @@ fn accept_loop(listener: &TcpListener, state: &Arc<SharedState>) {
 
 // --- connection handling ----------------------------------------------------
 
-fn write_line<W: Write>(stream: &mut W, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
-}
-
 fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
@@ -703,9 +703,9 @@ fn handle_connection(stream: TcpStream, state: &Arc<SharedState>) -> std::io::Re
     // id arrays and framing, with no client- or operator-supplied text.)
     let reply = |writer: &mut TcpStream, line: &str| -> std::io::Result<()> {
         if state.secrets.is_empty() {
-            write_line(writer, line)
+            protocol::write_line(writer, line)
         } else {
-            write_line(writer, &protocol::redact_secrets(line, &state.secrets))
+            protocol::write_line(writer, &protocol::redact_secrets(line, &state.secrets))
         }
     };
     for line in reader.lines() {
@@ -938,6 +938,12 @@ fn status_line(job: &Job, secrets: &[String]) -> String {
 /// journaled delivery floor — and follows the job until it is terminal,
 /// then writes the `END` line.
 ///
+/// Lines are rendered into one reused buffer and written in batches: the
+/// socket sees a write when the `BufWriter` fills and whenever the stream
+/// has caught up with the job, i.e. nothing more is ready. A backlog thus
+/// leaves in full buffers, and a live follower of a slow job gets each
+/// result as soon as it is buffered, with no timer involved.
+///
 /// The `END` line reports the **actually-sent** high-water position
 /// (`results=` is the next undelivered seq), not the job's buffered total:
 /// if the two ever disagree — a short delivery, or a `FROM` past the end —
@@ -949,11 +955,8 @@ fn stream_job(
     job: &Arc<Job>,
     from: u64,
 ) -> std::io::Result<()> {
-    // Result lines go through a buffer (one syscall per ~8 KiB instead of
-    // two per plex — this is the 10^6-results path). The buffer is flushed
-    // whenever the job has nothing new (Idle) and at the end, so a live
-    // follower still sees results promptly.
     let mut out = std::io::BufWriter::new(writer);
+    let mut line = Vec::new();
     // `sent` is the next seq to deliver: it starts at the client's resume
     // point, never below the journaled floor (results under it were
     // consumed in a previous server lifetime — re-delivering them would
@@ -971,17 +974,21 @@ fn stream_job(
     let mut buf = PlexBuf::default();
     loop {
         buf.clear();
-        match job.next_results(sent, &mut buf, WAIT_TICK) {
+        let (step, caught_up) = job.next_results(sent, &mut buf, WAIT_TICK);
+        match step {
             StreamStep::Items => {
                 for plex in buf.iter() {
-                    write_line(
-                        &mut out,
-                        &protocol::render_plex_line(job.id, sent as u64, plex),
-                    )?;
+                    line.clear();
+                    protocol::write_plex_line(&mut line, job.id, sent as u64, plex);
+                    line.push(b'\n');
+                    out.write_all(&line)?;
                     sent += 1;
                     if sent - journaled >= state.delivery_batch {
                         note_delivered(sent, &mut journaled);
                     }
+                }
+                if caught_up {
+                    out.flush()?;
                 }
             }
             StreamStep::Ended(job_state, total) => {
@@ -1000,14 +1007,15 @@ fn stream_job(
                 if sent as u64 != total {
                     end.push_str(&format!(" truncated=true total={total}"));
                 }
-                write_line(&mut out, &end)?;
+                protocol::write_line(&mut out, &end)?;
                 return out.flush();
             }
             StreamStep::Idle => {
+                // Nothing is buffered here: only a caught-up step, which
+                // flushed, can precede an idle one.
                 note_delivered(sent, &mut journaled);
-                out.flush()?;
                 if state.shutdown.load(Ordering::Acquire) {
-                    return write_line(&mut out, "ERR server shutting down")
+                    return protocol::write_line(&mut out, "ERR server shutting down")
                         .and_then(|()| out.flush());
                 }
             }

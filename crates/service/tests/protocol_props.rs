@@ -1,15 +1,18 @@
 //! Property-based round-trip tests for the wire protocol: every request
 //! frame survives `parse(render(x)) == x` (including `AUTH` and
 //! tenant-tagged submissions), NDJSON result lines survive their own round
-//! trip, arbitrary malformed input produces protocol errors — never panics
+//! trip — also through the buffer-reusing `write_plex_line` and
+//! `parse_plex_line_into` — arbitrary malformed input produces protocol
+//! errors — never panics
 //! — and the tenancy layer's two safety properties hold: per-tenant byte
 //! accounting saturates instead of overflowing, and no reply line ever
 //! echoes a registered token.
 
 use kplex_service::auth::{add_bytes, plex_bytes};
 use kplex_service::protocol::{
-    parse_plex_line, parse_request, parse_response_fields, redact_secrets, render_plex_line,
-    render_request, sanitize_value, sanitize_value_redacted, Request, SubmitArgs,
+    parse_plex_line, parse_plex_line_into, parse_request, parse_response_fields, redact_secrets,
+    render_plex_line, render_request, sanitize_value, sanitize_value_redacted, write_plex_line,
+    Request, SubmitArgs,
 };
 use proptest::prelude::*;
 
@@ -20,6 +23,18 @@ fn arb_ident() -> impl Strategy<Value = String> {
     const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-./:";
     proptest::collection::vec(0..CHARS.len(), 1..12)
         .prop_map(|ixs| ixs.into_iter().map(|i| CHARS[i] as char).collect())
+}
+
+/// A u64 that is `u64::MAX` often enough for the widest rendering to be
+/// exercised in every run.
+fn arb_wide_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(u64::MAX), Just(0u64), any::<u64>()]
+}
+
+/// A plex whose vertex ids include `u32::MAX` often, and which is empty
+/// often.
+fn arb_plex() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(prop_oneof![Just(u32::MAX), any::<u32>()], 0..24)
 }
 
 fn arb_opt_u64() -> impl Strategy<Value = Option<u64>> {
@@ -100,11 +115,22 @@ proptest! {
         prop_assert_eq!(reparsed, Ok(req), "line was {:?}", line);
     }
 
+    /// The round trip, plus the buffer-reusing forms: `write_plex_line`
+    /// into a non-empty buffer appends exactly `render_plex_line`'s bytes,
+    /// and `parse_plex_line_into` over a dirty buffer equals
+    /// `parse_plex_line`.
     #[test]
-    fn plex_line_roundtrip(id in any::<u64>(), seq in any::<u64>(),
-                           plex in proptest::collection::vec(any::<u32>(), 0..24)) {
+    fn plex_line_roundtrip(id in arb_wide_u64(), seq in arb_wide_u64(), plex in arb_plex(),
+                           dirt in proptest::collection::vec(any::<u32>(), 0..8)) {
         let line = render_plex_line(id, seq, &plex);
-        prop_assert_eq!(parse_plex_line(&line), Ok((id, seq, plex)));
+        let mut out = b"prefix\n".to_vec();
+        write_plex_line(&mut out, id, seq, &plex);
+        prop_assert_eq!(&out[..7], b"prefix\n");
+        prop_assert_eq!(&out[7..], line.as_bytes());
+        let mut into = dirt;
+        let parsed = parse_plex_line_into(&line, &mut into).map(|(i, s)| (i, s, into.clone()));
+        prop_assert_eq!(&parsed, &parse_plex_line(&line));
+        prop_assert_eq!(parsed, Ok((id, seq, plex)));
     }
 
     #[test]
@@ -127,7 +153,9 @@ proptest! {
     fn malformed_requests_never_panic(tokens in proptest::collection::vec(arb_token(), 0..6)) {
         let line = tokens.join(" ");
         let _ = parse_request(&line);
-        let _ = parse_plex_line(&line);
+        let mut into = vec![7, 7, 7];
+        let parsed = parse_plex_line_into(&line, &mut into).map(|(i, s)| (i, s, into));
+        prop_assert_eq!(parsed, parse_plex_line(&line));
         let _ = parse_response_fields(&line);
     }
 

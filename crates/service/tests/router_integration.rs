@@ -2,8 +2,9 @@
 //! (asserted against the exported placement function), warm-cache affinity
 //! across resubmissions, queued-job failover when a backend dies, the
 //! ADDNODE/DROPNODE admin surface, proactive health probing with flap
-//! suppression, active rebalancing of queued jobs on topology changes, and
-//! tenancy enforced at the router edge. All listeners bind port 0.
+//! suppression, active rebalancing of queued jobs on topology changes,
+//! tenancy enforced at the router edge, and prompt delivery to a live
+//! follower from both tiers. All listeners bind port 0.
 
 use kplex_core::{enumerate_count, AlgoConfig, Params};
 use kplex_service::router::{pick_backend, routing_key};
@@ -829,4 +830,42 @@ fn router_enforces_tenancy_at_the_edge() {
     router.shutdown();
     a.shutdown();
     b.shutdown();
+}
+
+/// A live follower of a slow job gets its first result as soon as that
+/// result is buffered, straight from `kplexd` and through `kplexr`: no tier
+/// holds a ready line back to fill a write buffer or to wait out a timer.
+/// Counted, not timed, so a slow host cannot fail it: when the first line
+/// arrives, `STATUS` on a second connection must still report only a few
+/// buffered results. A tier that held lines until an 8 KiB buffer filled
+/// would first deliver after ~140 of these.
+#[test]
+fn a_live_follower_gets_each_result_without_batching_delay() {
+    let backend = start_backend(1);
+    let router = start_router(&[backend.addr().to_string()]);
+    for addr in [backend.addr(), router.addr()] {
+        let mut c = Client::connect(addr).expect("connect");
+        let mut probe = Client::connect(addr).expect("connect probe");
+        let mut args = SubmitArgs::dataset("jazz", 2, 9);
+        args.threads = Some(1);
+        args.throttle_us = Some(10_000); // one result per 10 ms
+        let id = c.submit(&args).expect("submit");
+        let mut buffered_at_first = None;
+        let end = c
+            .stream_while(id, |_, _| {
+                let status = probe.status(id).expect("status at the first line");
+                buffered_at_first = status.get("results").and_then(|r| r.parse::<u64>().ok());
+                false
+            })
+            .expect("stream");
+        assert!(end.is_none(), "jazz (2, 9) must stream results first");
+        probe.cancel(id).expect("cancel");
+        let buffered = buffered_at_first.expect("STATUS reports results=");
+        assert!(
+            buffered < 32,
+            "{addr}: the first line arrived after {buffered} results were buffered"
+        );
+    }
+    router.shutdown();
+    backend.shutdown();
 }

@@ -20,7 +20,8 @@ use std::time::Duration;
 /// The provisioning fixture: a weight-1 batch tenant, a weight-4
 /// interactive tenant, a bystander, and an admin. All quotas unlimited —
 /// these tests exercise *fair share*, not rejection (the quota paths are
-/// covered by the server unit tests and the router smoke).
+/// covered by the server unit tests and by
+/// `router_integration.rs::router_enforces_tenancy_at_the_edge`).
 const PRINCIPALS: &str = "\
 tok-flood:flood:1:0:0:-
 tok-alice:alice:4:0:0:-
