@@ -1,14 +1,14 @@
-//! The stage-based parallel engine.
+//! The parallel engine: seeds pulled on demand by idle workers.
 
-use crate::sched::{SchedConfig, SchedHook, SchedMetrics, Scheduler};
+use crate::sched::{SchedConfig, SchedHook, SchedMetrics, Scheduler, WorkerHandle};
 use kplex_core::enumerate::{prepare, MapSink};
 use kplex_core::{
     collect_subtasks, AlgoConfig, CollectSink, CountSink, PairMatrix, Params, PlexSink, Prepared,
     SavedTask, SearchStats, Searcher, SeedBuilder, SeedGraph, SinkFlow, XOUT_FLAG,
 };
 use kplex_graph::{GraphStore, VertexId};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Knobs of the parallel engine.
@@ -18,10 +18,14 @@ pub struct EngineOptions {
     pub threads: usize,
     /// Straggler timeout `τ_time`; tasks running longer re-queue their
     /// remaining branches. `None` disables splitting (ListPlex/FP style).
+    /// Ignored with one worker: there is no peer to take split work, so a
+    /// split would only re-queue branches on the same deque and make the
+    /// emission order depend on timing.
     pub timeout: Option<Duration>,
     /// Build every seed subgraph up-front on one thread before any task
     /// runs — the behaviour of parallel FP that the paper identifies as its
-    /// bottleneck. When false (default), construction is part of each stage.
+    /// bottleneck. When false (default), an idle worker builds the next
+    /// seed itself (see [`run_parallel_prepared`]).
     pub serial_construction: bool,
     /// One task per seed with the full two-hop candidate set (FP's layout)
     /// instead of S-sub-tasks.
@@ -30,8 +34,8 @@ pub struct EngineOptions {
     /// a service cancelling a job, a deadline, a result cap), workers stop
     /// mid-task: the flag is plumbed into every [`Searcher`] (polled inside
     /// the branch recursion and checked on every report) and consulted
-    /// before construction and before each dequeued task. The engine also
-    /// raises it itself whenever any worker's sink returns
+    /// before each seed is built and before each dequeued task. The engine
+    /// also raises it itself whenever any worker's sink returns
     /// [`SinkFlow::Stop`], so an early-stopping sink halts *all* workers
     /// promptly rather than one.
     pub stop_flag: Option<Arc<AtomicBool>>,
@@ -74,17 +78,20 @@ impl std::fmt::Debug for EngineOptions {
     }
 }
 
-/// Per-seed shared state for one stage.
+/// One seed's shared state. Every task on the seed — its initial sub-tasks
+/// and their timeout-split children alike — holds an `Arc` of it, as does
+/// a worker's searcher while it runs them, so the slot is freed with the
+/// seed's last task.
 struct Slot {
     seed: SeedGraph,
     pairs: Option<PairMatrix>,
 }
 
-/// A unit of work: a branch ⟨P, C, X⟩ on a stage slot's seed subgraph. The
+/// A unit of work: a branch ⟨P, C, X⟩ on a slot's seed subgraph. The
 /// snapshot is a single-buffer POD ([`SavedTask`]), so queueing, stealing
 /// and re-queueing a task moves one allocation, never three.
 struct Task {
-    slot: usize,
+    slot: Arc<Slot>,
     snap: SavedTask,
 }
 
@@ -134,6 +141,15 @@ where
 /// service front-end) cache the `Prepared` value — the expensive load +
 /// (q−k)-core reduction + degeneracy ordering — and re-enter the engine once
 /// per job; `prep` must have been built with the same `q − k` as `params`.
+///
+/// Seeds are built on demand: a worker whose own deque runs dry takes the
+/// next vertex off a shared cursor, builds its seed and runs its sub-tasks
+/// (see `run_stage`), so the first result does not wait for the other
+/// seeds and only a few seeds are alive at once. The cursor walks the
+/// degeneracy order backwards: the densest seeds, where plexes of at least
+/// `q` vertices live, come first. [`EngineOptions::serial_construction`]
+/// instead builds every seed on the calling thread, in degeneracy order,
+/// before any task runs.
 pub fn run_parallel_prepared<S, F>(
     prep: &Prepared,
     params: Params,
@@ -156,122 +172,83 @@ where
     if n < params.q {
         return (sinks, total);
     }
-
-    if opts.serial_construction {
-        // FP-style: build every slot up-front, one big stage.
-        let mut builder = SeedBuilder::new(n);
-        let mut slots = Vec::new();
-        for &sv in &prep.decomp.order {
-            if stop.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some(seed) = builder.build(&prep.graph, &prep.decomp, sv, params, cfg) {
-                total.seed_graphs += 1;
-                total.seed_pruned_vertices += seed.pruned_vertices;
-                let pairs = cfg.use_r2.then(|| PairMatrix::build(&seed, params));
-                slots.push(Slot { seed, pairs });
-            }
-        }
-        let filled: Vec<OnceLock<Slot>> = slots
-            .into_iter()
-            .map(|s| {
-                let cell = OnceLock::new();
-                cell.set(s).ok().expect("fresh cell");
-                cell
-            })
-            .collect();
-        let stage_stats = run_stage(
-            &prep.map, params, cfg, opts, &filled, None, &stop, &mut sinks,
-        );
-        total.merge(&stage_stats);
-        return (sinks, total);
-    }
-
-    // Eligibility pre-filter: the builder's cheapest gate (enough later
-    // neighbours to host a q-plex) rejects the vast majority of vertices
-    // without building anything.
-    let mut eligible: Vec<VertexId> = Vec::new();
-    let mut scratch = Vec::new();
-    for &v in &prep.decomp.order {
-        let later = prep
-            .graph
-            .row(v, &mut scratch)
-            .iter()
-            .filter(|&&w| prep.decomp.before(v, w))
-            .count();
-        if later + params.k >= params.q {
-            eligible.push(v);
-        }
-    }
-    // One spawn for the whole run: worker w builds eligible seeds w, w+M,
-    // w+2M, … (parallel construction, per-worker task locality) and all
-    // workers then drain with stealing. Spawning fresh threads per batch of
-    // M seeds would cost thousands of thread spawns on large inputs.
-    let slots: Vec<OnceLock<Slot>> = (0..eligible.len()).map(|_| OnceLock::new()).collect();
-    let stage_stats = run_stage(
-        &prep.map,
+    let mut stage = Stage {
+        prep,
+        seeds: &prep.decomp.order,
+        cursor: AtomicUsize::new(0),
         params,
         cfg,
         opts,
-        &slots,
-        Some((prep, &eligible)),
-        &stop,
-        &mut sinks,
-    );
-    total.merge(&stage_stats);
-    for slot in &slots {
-        if let Some(s) = slot.get() {
-            total.seed_graphs += 1;
-            total.seed_pruned_vertices += s.seed.pruned_vertices;
+        stop,
+    };
+    let mut injected = Vec::new();
+    if opts.serial_construction {
+        // FP-style: build every slot up front on this thread and inject its
+        // tasks; the workers then find no seed left to pull and only drain
+        // the injector.
+        let mut builder = SeedBuilder::new(n);
+        for &v in stage.seeds {
+            if stage.stop.load(Ordering::Acquire) {
+                break;
+            }
+            if let Some(slot) = stage.build_slot(&mut builder, v, &mut total) {
+                for snap in stage.initial_snaps(&slot, &mut total) {
+                    let slot = Arc::clone(&slot);
+                    injected.push(Task { slot, snap });
+                }
+            }
         }
+        stage.seeds = &[];
     }
+    total.merge(&run_stage(&stage, injected, &mut sinks));
     (sinks, total)
 }
 
-/// Runs one stage to completion on the work-stealing scheduler
-/// ([`crate::sched`]): a global injector, per-worker LIFO deques with
-/// local-pop → injector-batch-steal → peer-steal find order, and
-/// park/unpark idling (no sleep-polling — `kplex-lint` enforces that).
-///
-/// When `construct` is provided, worker `i` builds seeds `i, i+M, …` and
-/// publishes their sub-tasks as it goes; each worker holds a *construction
-/// token* in the scheduler's `pending` count while it may still create
-/// tasks, so early finishers start stealing immediately (no barrier) and
-/// the stage cannot terminate under a still-constructing worker. With
-/// `None` the slots are pre-filled and all tasks go through the injector,
-/// where workers spread them via batched steals.
-#[allow(clippy::too_many_arguments)]
-fn run_stage<S: PlexSink + Send>(
-    id_map: &[VertexId],
+/// What every worker of one run shares.
+struct Stage<'r> {
+    prep: &'r Prepared,
+    /// Seed vertices to build, handed out one at a time by `cursor`, last
+    /// first.
+    seeds: &'r [VertexId],
+    cursor: AtomicUsize,
     params: Params,
-    cfg: &AlgoConfig,
-    opts: &EngineOptions,
-    slots: &[OnceLock<Slot>],
-    construct: Option<(&Prepared, &[VertexId])>,
-    stop: &Arc<AtomicBool>,
+    cfg: &'r AlgoConfig,
+    opts: &'r EngineOptions,
+    stop: Arc<AtomicBool>,
+}
+
+/// Runs the enumeration on the work-stealing scheduler ([`crate::sched`]),
+/// one worker per sink.
+///
+/// A worker finds work in this order: its own deque (LIFO); then, while
+/// the shared cursor over `stage.seeds` has vertices left, the next vertex,
+/// whose seed it builds and whose sub-tasks it pushes onto its own deque;
+/// then the global injector and peer steals, parking while neither has
+/// work. Each worker holds a *construction token* in the scheduler's
+/// `pending` count until it finds the cursor exhausted (or the stop flag
+/// raised), so the run cannot terminate while a seed may still be built,
+/// and no worker parks while it could build one. Split children go to the
+/// injector only while some worker is parked, so the injector stays empty
+/// while the cursor is live and the pull may as well come before it.
+/// `injected` tasks (the pre-built seeds of
+/// [`EngineOptions::serial_construction`]) start in the injector, where
+/// workers spread them via batched steals.
+fn run_stage<S: PlexSink + Send>(
+    stage: &Stage<'_>,
+    injected: Vec<Task>,
     sinks: &mut [S],
 ) -> SearchStats {
     let m = sinks.len();
     let (sched, ctxs) = Scheduler::new(SchedConfig {
         workers: m,
-        hook: opts.sched_hook.clone(),
-        metrics: opts.metrics.clone(),
+        hook: stage.opts.sched_hook.clone(),
+        metrics: stage.opts.metrics.clone(),
     });
-
-    let mut dealer_stats = SearchStats::default();
-    if construct.is_none() {
-        // Pre-filled slots: inject everything before spawning workers.
-        for (si, slot) in slots.iter().enumerate() {
-            let slot_ref = slot.get().expect("pre-filled");
-            for t in make_tasks(si, slot_ref, params, cfg, opts, &mut dealer_stats) {
-                sched.inject(t);
-            }
-        }
-    } else {
-        // One construction token per worker, released when that worker's
-        // construction loop ends (see the doc comment above).
-        sched.count_in(m);
+    for t in injected {
+        sched.inject(t);
     }
+    // One construction token per worker (see above).
+    sched.count_in(m);
 
     let mut worker_stats: Vec<SearchStats> = (0..m).map(|_| SearchStats::default()).collect();
     std::thread::scope(|scope| {
@@ -283,97 +260,8 @@ fn run_stage<S: PlexSink + Send>(
             .zip(worker_stats.iter_mut())
         {
             join_handles.push(scope.spawn(move || {
-                let wid = ctx.wid();
                 let handle = ctx.attach(sched);
-                // Phase 1: construction (when not pre-filled). Worker w
-                // builds every M-th eligible seed and publishes its tasks
-                // as it goes — parked siblings are woken to steal them, so
-                // a skewed seed no longer idles the rest of the pool.
-                if let Some((prep, seeds)) = construct {
-                    let mut builder = SeedBuilder::new(prep.graph.num_vertices());
-                    let mut idx = wid;
-                    while idx < seeds.len() {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if let Some(seed) =
-                            builder.build(&prep.graph, &prep.decomp, seeds[idx], params, cfg)
-                        {
-                            let pairs = cfg.use_r2.then(|| PairMatrix::build(&seed, params));
-                            slots[idx]
-                                .set(Slot { seed, pairs })
-                                .ok()
-                                .expect("slot filled once");
-                            let slot_ref = slots[idx].get().expect("just set");
-                            for t in make_tasks(idx, slot_ref, params, cfg, opts, wstats) {
-                                handle.push(t);
-                            }
-                        }
-                        idx += m;
-                    }
-                    handle.count_out();
-                }
-                // Phase 2: drain. `next()` finds work (own deque → injector
-                // → peers, in rotated order) and parks while there is
-                // none; `None` is the termination handshake (pending == 0).
-                let mut sink = MapSink::new(sink, id_map);
-                let handle = &handle;
-                // Cache the searcher across consecutive tasks on one slot.
-                let mut cur: Option<(usize, Searcher)> = None;
-                while let Some(task) = handle.next() {
-                    // A raised stop flag (external cancel or a sibling's
-                    // early-stopping sink) drains the queues without
-                    // running: tasks still count out so stage termination
-                    // stays exact and parked workers get their final wake.
-                    if stop.load(Ordering::Acquire) {
-                        handle.count_out();
-                        continue;
-                    }
-                    let slot_ref = slots[task.slot].get().expect("slot set before tasks");
-                    let searcher = match &mut cur {
-                        Some((sid, s)) if *sid == task.slot => s,
-                        _ => {
-                            if let Some((_, old)) = cur.take() {
-                                wstats.merge(&old.stats);
-                            }
-                            let mut s =
-                                Searcher::new(&slot_ref.seed, params, cfg, slot_ref.pairs.as_ref());
-                            s.set_time_budget(opts.timeout);
-                            s.set_stop_flag(Some(stop.clone()));
-                            // Deferred branches (timeout splits) are
-                            // published mid-task: while peers are parked
-                            // they overflow to the global injector and wake
-                            // one, so a straggler's spill-off is picked up
-                            // while the straggler is still running.
-                            let slot_id = task.slot;
-                            s.set_spawn_hook(Some(Box::new(move |snap| {
-                                handle.push_overflow(Task {
-                                    slot: slot_id,
-                                    snap,
-                                });
-                            })));
-                            cur = Some((task.slot, s));
-                            &mut cur.as_mut().expect("just set").1
-                        }
-                    };
-                    let flow =
-                        searcher.run_task(task.snap.p(), task.snap.c(), task.snap.x(), &mut sink);
-                    if flow == SinkFlow::Stop {
-                        // Propagate an early-stopping sink to every worker,
-                        // not just this one: siblings observe the flag inside
-                        // their own branch recursion (via the searcher's
-                        // polled check), before their next task, and in the
-                        // construction phase.
-                        stop.store(true, Ordering::Release);
-                    }
-                    // Children were counted in by the spawn hook during
-                    // run_task, so they precede this count-out in program
-                    // order — the termination invariant holds.
-                    handle.count_out();
-                }
-                if let Some((_, old)) = cur.take() {
-                    wstats.merge(&old.stats);
-                };
+                stage.work(&handle, sink, wstats);
             }));
         }
         for h in join_handles {
@@ -381,45 +269,186 @@ fn run_stage<S: PlexSink + Send>(
         }
     });
 
-    let mut merged = dealer_stats;
+    let mut merged = SearchStats::default();
     for ws in &worker_stats {
         merged.merge(ws);
     }
     merged
 }
 
-/// Builds the initial tasks for one slot, accumulating sub-task counters
-/// (generated / R1-pruned) into `stats`.
-fn make_tasks(
-    slot: usize,
-    s: &Slot,
-    params: Params,
-    cfg: &AlgoConfig,
-    opts: &EngineOptions,
-    stats: &mut SearchStats,
-) -> Vec<Task> {
-    if opts.single_task_per_seed {
-        stats.subtasks += 1;
-        let c: Vec<u32> = (1..s.seed.len() as u32).collect();
-        let x: Vec<u32> = (0..s.seed.xout.len() as u32)
-            .map(|i| i | XOUT_FLAG)
-            .collect();
-        return vec![Task {
-            slot,
-            snap: SavedTask::new(&[0], &c, &x),
-        }];
+impl Stage<'_> {
+    /// One worker's loop. Consecutive tasks on one seed share a searcher,
+    /// which keeps the seed's slot alive; the run of tasks ends at the
+    /// first task on another seed or when the own deque is empty, so the
+    /// slot is released before the worker builds its next seed.
+    fn work<S: PlexSink>(
+        &self,
+        handle: &WorkerHandle<'_, Task>,
+        sink: &mut S,
+        stats: &mut SearchStats,
+    ) {
+        let mut sink = MapSink::new(sink, &self.prep.map);
+        // `Some` while this worker holds its construction token.
+        let mut builder = Some(SeedBuilder::new(self.prep.graph.num_vertices()));
+        let mut carry = None;
+        while let Some(first) = self.fetch(handle, &mut builder, carry.take(), stats) {
+            let slot = Arc::clone(&first.slot);
+            let mut searcher = self.searcher(&slot, handle);
+            let mut next = Some(first);
+            while let Some(task) = next.take() {
+                let flow =
+                    searcher.run_task(task.snap.p(), task.snap.c(), task.snap.x(), &mut sink);
+                if flow == SinkFlow::Stop {
+                    // Propagate an early-stopping sink to every worker, not
+                    // just this one: siblings observe the flag inside their
+                    // own branch recursion (via the searcher's polled
+                    // check), before their next task, and before they build
+                    // another seed.
+                    self.stop.store(true, Ordering::Release);
+                }
+                // Children were counted in by the spawn hook during
+                // run_task, so they precede this count-out in program
+                // order — the termination invariant holds.
+                handle.count_out();
+                if self.stop.load(Ordering::Acquire) {
+                    break; // `fetch` drains the rest unrun
+                }
+                match handle.pop() {
+                    Some(t) if Arc::ptr_eq(&t.slot, &slot) => next = Some(t),
+                    other => carry = other,
+                }
+            }
+            stats.merge(&searcher.stats);
+        }
     }
-    collect_subtasks(&s.seed, params, cfg, s.pairs.as_ref(), stats)
-        .into_iter()
-        .map(|snap| Task { slot, snap })
-        .collect()
+
+    /// The next task to run, or `None` once the run has terminated: the
+    /// carried-over task, else the own deque, else a freshly pulled seed's
+    /// first sub-task, else — with the construction token released — the
+    /// scheduler's injector and peer steals, parking while there is none.
+    /// While the stop flag is raised, tasks are counted out unrun, so
+    /// `pending` still reaches 0 exactly and parked workers get their final
+    /// wake.
+    fn fetch(
+        &self,
+        handle: &WorkerHandle<'_, Task>,
+        builder: &mut Option<SeedBuilder>,
+        mut carry: Option<Task>,
+        stats: &mut SearchStats,
+    ) -> Option<Task> {
+        loop {
+            let task = if let Some(t) = carry.take().or_else(|| handle.pop()) {
+                t
+            } else if let Some(b) = builder {
+                if !self.pull(b, handle, stats) {
+                    *builder = None;
+                    handle.count_out(); // the construction token
+                }
+                continue;
+            } else {
+                handle.next()?
+            };
+            if !self.stop.load(Ordering::Acquire) {
+                return Some(task);
+            }
+            drop(task);
+            handle.count_out();
+        }
+    }
+
+    /// Takes vertices off the cursor until one builds a seed with at least
+    /// one initial task, and pushes its tasks onto the own deque so that
+    /// they pop in sub-task order. Returns false once the cursor is
+    /// exhausted or the stop flag is raised.
+    fn pull(
+        &self,
+        builder: &mut SeedBuilder,
+        handle: &WorkerHandle<'_, Task>,
+        stats: &mut SearchStats,
+    ) -> bool {
+        while !self.stop.load(Ordering::Acquire) {
+            // ordering: the cursor only hands out distinct indices; the
+            // vertices it indexes are immutable, so nothing else is
+            // published through it.
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&v) = self.seeds.iter().nth_back(i) else {
+                return false;
+            };
+            let Some(slot) = self.build_slot(builder, v, stats) else {
+                continue;
+            };
+            let snaps = self.initial_snaps(&slot, stats);
+            if snaps.is_empty() {
+                continue;
+            }
+            for snap in snaps.into_iter().rev() {
+                let slot = Arc::clone(&slot);
+                handle.push(Task { slot, snap });
+            }
+            return true;
+        }
+        false
+    }
+
+    /// A searcher over `slot`'s seed. Its spawn hook publishes deferred
+    /// branches (timeout splits) mid-task: while peers are parked they
+    /// overflow to the global injector and wake one, so a straggler's
+    /// spill-off is picked up while the straggler is still running. Each
+    /// child holds the slot like its parent.
+    fn searcher<'a>(
+        &'a self,
+        slot: &'a Arc<Slot>,
+        handle: &'a WorkerHandle<'_, Task>,
+    ) -> Searcher<'a> {
+        let mut s = Searcher::new(&slot.seed, self.params, self.cfg, slot.pairs.as_ref());
+        // With one worker a split would only re-queue branches on the same
+        // deque (see `EngineOptions::timeout`).
+        s.set_time_budget(self.opts.timeout.filter(|_| self.opts.threads > 1));
+        s.set_stop_flag(Some(self.stop.clone()));
+        s.set_spawn_hook(Some(Box::new(move |snap| {
+            let slot = Arc::clone(slot);
+            handle.push_overflow(Task { slot, snap });
+        })));
+        s
+    }
+
+    /// Builds the slot of seed vertex `v`, counting it into `stats`, or
+    /// `None` when the builder rejects `v`.
+    fn build_slot(
+        &self,
+        builder: &mut SeedBuilder,
+        v: VertexId,
+        stats: &mut SearchStats,
+    ) -> Option<Arc<Slot>> {
+        let (prep, params) = (self.prep, self.params);
+        let seed = builder.build(&prep.graph, &prep.decomp, v, params, self.cfg)?;
+        stats.seed_graphs += 1;
+        stats.seed_pruned_vertices += seed.pruned_vertices;
+        let pairs = self.cfg.use_r2.then(|| PairMatrix::build(&seed, params));
+        Some(Arc::new(Slot { seed, pairs }))
+    }
+
+    /// The initial task snapshots of one slot, accumulating sub-task
+    /// counters (generated / R1-pruned) into `stats`.
+    fn initial_snaps(&self, slot: &Slot, stats: &mut SearchStats) -> Vec<SavedTask> {
+        let seed = &slot.seed;
+        if self.opts.single_task_per_seed {
+            stats.subtasks += 1;
+            let c: Vec<u32> = (1..seed.len() as u32).collect();
+            let x: Vec<u32> = (0..seed.xout.len() as u32).map(|i| i | XOUT_FLAG).collect();
+            return vec![SavedTask::new(&[0], &c, &x)];
+        }
+        collect_subtasks(seed, self.params, self.cfg, slot.pairs.as_ref(), stats)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplex_core::enumerate_collect;
+    use kplex_core::enumerate::run_seed;
+    use kplex_core::{enumerate_collect, FirstN};
     use kplex_graph::{gen, CsrGraph};
+    use std::sync::atomic::AtomicU64;
 
     fn check_parallel_matches_serial(g: &CsrGraph, k: usize, q: usize, opts: &EngineOptions) {
         let params = Params::new(k, q).unwrap();
@@ -543,7 +572,7 @@ mod tests {
 
     /// Sink enforcing a *global* result cap across all workers.
     struct CapSink {
-        seen: Arc<std::sync::atomic::AtomicU64>,
+        seen: Arc<AtomicU64>,
         cap: u64,
         mine: u64,
     }
@@ -595,7 +624,7 @@ mod tests {
         );
         let mut opts = EngineOptions::with_threads(m);
         opts.timeout = None; // tasks are whole subtrees: stop must land *inside* them
-        let seen = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let seen = Arc::new(AtomicU64::new(0));
         let cap = 1u64;
         let (sinks, stats) = run_parallel(&g, params, &cfg, &opts, || CapSink {
             seen: seen.clone(),
@@ -713,5 +742,69 @@ mod tests {
         let (count, _) = par_enumerate_count(&g, params, &cfg, &opts);
         let (collected, _) = par_enumerate_collect(&g, params, &cfg, &opts);
         assert_eq!(count as usize, collected.len());
+    }
+
+    #[test]
+    fn first_result_does_not_wait_for_the_other_seeds() {
+        // A worker builds a seed only when it runs out of work, so a run
+        // capped at one result builds the seeds up to its first result, not
+        // every seed of the graph. Counted, not timed.
+        let g = gen::powerlaw_cluster(200, 5, 0.7, 8);
+        let params = Params::new(3, 6).unwrap();
+        let cfg = AlgoConfig::ours();
+        // The sequential driver's loop, walked in the engine's pull order
+        // (degeneracy order, last first) and stopped at its first result.
+        let prep = prepare(&g, params);
+        let mut builder = SeedBuilder::new(prep.graph.num_vertices());
+        let (mut first, mut serial) = (FirstN::new(1), SearchStats::default());
+        for &v in prep.decomp.order.iter().rev() {
+            if let Some(seed) = builder.build(&prep.graph, &prep.decomp, v, params, &cfg) {
+                if run_seed(&seed, params, &cfg, &mut first, &mut serial) == SinkFlow::Stop {
+                    break;
+                }
+            }
+        }
+        assert_eq!(first.plexes.len(), 1, "instance must have results");
+        let (_, full) = par_enumerate_count(&g, params, &cfg, &EngineOptions::with_threads(2));
+        let capped_seeds = |threads: usize| {
+            let seen = Arc::new(AtomicU64::new(0));
+            let opts = EngineOptions::with_threads(threads);
+            let (_, stats) = run_parallel(&g, params, &cfg, &opts, || CapSink {
+                seen: seen.clone(),
+                cap: 1,
+                mine: 0,
+            });
+            stats.seed_graphs
+        };
+        assert_eq!(capped_seeds(1), serial.seed_graphs);
+        let two = capped_seeds(2);
+        assert!(
+            two < full.seed_graphs / 2,
+            "2 workers built {two} of {} seeds for one result",
+            full.seed_graphs
+        );
+    }
+
+    #[test]
+    fn one_worker_never_splits_and_repeats_its_order() {
+        // Default options arm τ, but one worker has no peer to hand split
+        // work to: the engine leaves the budget unset, so a 1-thread run
+        // (every kplexd job with threads=1) emits the same sequence every
+        // time, which resume-by-seq across a re-run relies on.
+        // Dense with few results: its tasks outlast τ = 100 µs, so a worker
+        // that armed τ would split them.
+        let g = gen::gnp(50, 0.6, 5);
+        let params = Params::new(2, 11).unwrap();
+        let cfg = AlgoConfig::ours();
+        let opts = EngineOptions::with_threads(1);
+        assert!(opts.timeout.is_some(), "default options arm τ");
+        let emitted = || {
+            let (mut sinks, stats) = run_parallel(&g, params, &cfg, &opts, CollectSink::default);
+            assert_eq!(stats.timeout_splits, 0, "one worker split its tasks");
+            sinks.pop().expect("one sink").plexes
+        };
+        let (a, b) = (emitted(), emitted());
+        assert!(!a.is_empty(), "instance must have results");
+        assert_eq!(a, b, "two 1-thread runs emitted different sequences");
     }
 }

@@ -2,21 +2,25 @@
 //!
 //! Task-based parallel enumeration (Section 6 of the paper).
 //!
-//! Worker `w` builds every `M`-th eligible seed subgraph and publishes
-//! that seed's initial sub-tasks as it goes; all workers concurrently
-//! drain through the work-stealing scheduler ([`sched`]): own deque first
-//! (cache locality: tasks of one deque share a seed subgraph), then the
-//! global injector, then peers in an order rotated by the thief's index.
-//! Idle workers park on a token parker and are woken by
-//! the next push (at most one wakeup per push); termination is a
-//! pending==0 handshake, not timed polling.
+//! Seeds are built on demand: a worker whose own deque is empty takes the
+//! next vertex off a shared cursor (degeneracy order, last first), builds
+//! its seed subgraph and pushes that seed's initial sub-tasks onto its own
+//! deque. Once the cursor is exhausted, workers fall through to the rest
+//! of the work-stealing scheduler ([`sched`]): the global injector, then
+//! peers in an order rotated by the thief's index. Every task holds its
+//! seed, so a seed is freed with its last task, and the first result does
+//! not wait for the other seeds to be built. Idle workers park on a token
+//! parker and are woken by the next push (at most one wakeup per push);
+//! termination is a pending==0 handshake, not timed polling.
 //!
 //! Straggler elimination: every task carries a time budget `τ_time`; when a
 //! task runs past it, the searcher stops recursing and re-packages its
 //! pending branches as new tasks ([`kplex_core::SavedTask`]) — published
 //! mid-task through the searcher's spawn hook, overflowing to the global
 //! injector whenever a peer is parked — so one deep sub-tree cannot
-//! serialise the stage tail.
+//! serialise the stage tail. With one worker there is no peer to take
+//! split work, so τ is not armed and a 1-thread run emits the same
+//! sequence every time.
 //!
 //! ```
 //! use kplex_core::{enumerate_count, AlgoConfig, Params};

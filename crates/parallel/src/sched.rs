@@ -9,6 +9,12 @@
 //! order rotated by the thief's index (`steal_order`). Idle workers
 //! *park* on a token [`Parker`] instead of sleep-polling.
 //!
+//! The engine puts one step of its own into the find order: a worker whose
+//! own deque is empty (`WorkerHandle::pop`) builds the next seed and
+//! pushes that seed's tasks before it falls through to
+//! [`WorkerHandle::next`] (injector, peer steals, parking). It does that
+//! only while it holds a construction token (below).
+//!
 //! ## The wakeup invariant (no lost wakeups)
 //!
 //! A parking worker and a pushing worker synchronise through two shared
@@ -38,8 +44,12 @@
 //! ## The termination handshake
 //!
 //! `pending` counts tasks that exist anywhere (queued or running) plus any
-//! outstanding *construction tokens* (workers still building seeds, who may
-//! yet push tasks). Invariants, all on this one atomic:
+//! outstanding *construction tokens*. The engine counts in one token per
+//! worker; a worker holds it while the shared seed cursor may still hand it
+//! a vertex, and counts it out once the cursor is exhausted (or the run is
+//! stopped). A worker parks only after releasing its token, so nobody
+//! sleeps while a seed is left to build. Invariants, all on this one
+//! atomic:
 //!
 //! * a task is counted in (`count_in`) before it is pushed, so it is
 //!   counted before it can be observed;
@@ -148,7 +158,8 @@ pub struct Scheduler<T> {
     /// committed to parking. Plain atomics — the raw-sync lint bans locks
     /// in this crate, and the wakeup protocol needs RMW ordering anyway.
     parked: Vec<AtomicU64>,
-    /// Queued + running tasks + outstanding construction tokens.
+    /// Queued + running tasks + outstanding construction tokens (one per
+    /// worker that may still build a seed off the engine's cursor).
     pending: AtomicUsize,
     hook: Option<SchedHook>,
     metrics: Arc<SchedMetrics>,
@@ -331,11 +342,19 @@ impl<'s, T> WorkerHandle<'s, T> {
         self.sched
     }
 
+    /// Pops the newest task off this worker's own deque, without looking
+    /// anywhere else and without parking. The engine uses it to keep
+    /// running one seed's tasks, and to learn that its deque is empty
+    /// before it builds the next seed.
+    pub(crate) fn pop(&self) -> Option<T> {
+        self.ctx.deque.pop()
+    }
+
     /// One full find sweep: own deque (LIFO, cache-warm), then the global
     /// injector (batched: spare tasks land on the own deque), then every
     /// peer in [`steal_order`].
     fn find(&self) -> Option<T> {
-        if let Some(t) = self.ctx.deque.pop() {
+        if let Some(t) = self.pop() {
             return Some(t);
         }
         loop {

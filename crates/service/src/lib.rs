@@ -73,3 +73,17 @@ impl LoadHook {
         LoadHook(std::sync::Arc::new(f))
     }
 }
+
+/// A shared callback invoked with a job id and its new delivered floor just
+/// before each `DELIVERED` journal record is appended (see
+/// [`ServerConfig::delivered_hook`]). A newtype for the same reasons as
+/// [`LoadHook`].
+#[derive(Clone)]
+pub struct DeliveredHook(pub std::sync::Arc<dyn Fn(JobId, u64) + Send + Sync>);
+
+impl DeliveredHook {
+    /// Wraps a closure as a delivered-floor hook.
+    pub fn new(f: impl Fn(JobId, u64) + Send + Sync + 'static) -> Self {
+        DeliveredHook(std::sync::Arc::new(f))
+    }
+}

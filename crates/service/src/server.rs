@@ -40,7 +40,7 @@ use crate::job::{GraphSource, Job, JobSpec, PlexBuf, StreamStep};
 use crate::journal::Journal;
 use crate::protocol::{self, JobId, Request, SubmitArgs};
 use crate::sync::{OrderedCondvar, OrderedMutex, Rank};
-use crate::LoadHook;
+use crate::{DeliveredHook, LoadHook};
 use kplex_core::{prepare, Params, PlexSink, SinkFlow};
 use kplex_graph::io;
 use kplex_parallel::{run_parallel_prepared, EngineOptions, SchedMetrics};
@@ -109,6 +109,11 @@ pub struct ServerConfig {
     /// blocks on a channel to hold a cold load open deterministically (no
     /// sleeps) while asserting warm jobs and `STATS` still complete.
     pub cold_load_hook: Option<LoadHook>,
+    /// Test-only: called with the job id and the new floor on the
+    /// streaming connection's thread just before each `DELIVERED` record
+    /// is appended to the journal. Tests block in it to check that every
+    /// result the floor counts has already reached the client.
+    pub delivered_hook: Option<DeliveredHook>,
 }
 
 impl std::fmt::Debug for ServerConfig {
@@ -125,6 +130,7 @@ impl std::fmt::Debug for ServerConfig {
             .field("delivery_batch", &self.delivery_batch)
             .field("principals", &self.principals.as_ref().map(|s| s.len()))
             .field("cold_load_hook", &self.cold_load_hook.is_some())
+            .field("delivered_hook", &self.delivered_hook.is_some())
             .finish()
     }
 }
@@ -146,6 +152,7 @@ impl Default for ServerConfig {
             delivery_batch: DELIVERY_BATCH,
             principals: None,
             cold_load_hook: None,
+            delivered_hook: None,
         }
     }
 }
@@ -323,6 +330,7 @@ struct SharedState {
     /// the jobs/queue mutexes, which therefore must not be taken there.
     tenant_bytes: BTreeMap<String, AtomicU64>,
     cold_load_hook: Option<LoadHook>,
+    delivered_hook: Option<DeliveredHook>,
     /// Scheduler counters aggregated across every job this server has
     /// run (`STATS sched-*=`). One shared instance: the engine's workers
     /// bump it with relaxed atomics, so cross-job sharing costs nothing.
@@ -553,6 +561,7 @@ impl Server {
                 secrets,
                 tenant_bytes,
                 cold_load_hook: cfg.cold_load_hook.clone(),
+                delivered_hook: cfg.delivered_hook.clone(),
                 sched_metrics: Arc::new(SchedMetrics::default()),
             }
         });
@@ -963,11 +972,18 @@ fn stream_job(
     // break exactly-once across the restart).
     let mut sent = from.max(job.delivered_floor) as usize;
     // Offset journaling is batched (every `delivery_batch` results) and
-    // flushed at idle points — never one fsync per result.
+    // flushed at idle points — never one fsync per result. The floor counts
+    // only lines already flushed to the socket, so a crash never makes a
+    // restarted server skip a result no client received.
     let mut journaled = sent;
     let note_delivered = |sent: usize, journaled: &mut usize| {
         if sent > *journaled {
-            state.journal_record(|j| j.record_delivered(job.id, sent as u64));
+            state.journal_record(|j| {
+                if let Some(hook) = &state.delivered_hook {
+                    hook.0(job.id, sent as u64);
+                }
+                j.record_delivered(job.id, sent as u64)
+            });
             *journaled = sent;
         }
     };
@@ -984,6 +1000,7 @@ fn stream_job(
                     out.write_all(&line)?;
                     sent += 1;
                     if sent - journaled >= state.delivery_batch {
+                        out.flush()?;
                         note_delivered(sent, &mut journaled);
                     }
                 }
