@@ -1014,8 +1014,8 @@ mod tests {
     use super::*;
     use crate::config::Params;
     use crate::seed::{SeedBuilder, SeedGraph};
-    use crate::sink::CollectSink;
-    use kplex_graph::{core_decomposition, gen};
+    use crate::sink::{CollectSink, CountSink};
+    use kplex_graph::{core_decomposition, gen, GraphStore};
     use proptest::prelude::*;
 
     /// Minimal end-to-end run over one seed graph of a clique.
@@ -1094,6 +1094,54 @@ mod tests {
         assert_eq!(flow, SinkFlow::Stop);
         assert!(sink.plexes.is_empty(), "no result may pass a raised flag");
         assert_eq!(searcher.stats.outputs, 0);
+    }
+
+    #[test]
+    fn the_stop_poll_stops_a_result_free_subtask() {
+        // A sub-task that finds nothing never reaches the report path's
+        // check, so only the amortized poll in `branch` can stop it. Rerun
+        // the largest result-free sub-task of a dense instance with the
+        // flag raised before it starts: it must stop within one stride.
+        let g = gen::gnp(50, 0.6, 5);
+        let params = Params::new(2, 11).unwrap();
+        let cfg = AlgoConfig::ours();
+        let prep = crate::enumerate::prepare(&g, params);
+        let mut builder = SeedBuilder::new(prep.graph.num_vertices());
+        let mut stats = SearchStats::default();
+        // (calls unflagged, calls flagged) of the largest result-free task.
+        let mut largest = (0, 0);
+        for &v in &prep.decomp.order {
+            let Some(seed) = builder.build(&prep.graph, &prep.decomp, v, params, &cfg) else {
+                continue;
+            };
+            let pm = PairMatrix::build(&seed, params);
+            for task in crate::subtask::collect_subtasks(&seed, params, &cfg, Some(&pm), &mut stats)
+            {
+                let run = |flag: Option<Arc<AtomicBool>>| {
+                    let mut searcher = Searcher::new(&seed, params, &cfg, Some(&pm));
+                    searcher.set_stop_flag(flag);
+                    let mut sink = CountSink::default();
+                    searcher.run_task(task.p(), task.c(), task.x(), &mut sink);
+                    (sink.count, searcher.stats.branch_calls)
+                };
+                let (found, calls) = run(None);
+                if found == 0 && calls > largest.0 {
+                    let (found, flagged) = run(Some(Arc::new(AtomicBool::new(true))));
+                    assert_eq!(found, 0);
+                    largest = (calls, flagged);
+                }
+            }
+        }
+        let (calls, flagged) = largest;
+        let stride = u64::from(STOP_STRIDE);
+        assert!(
+            calls > 4 * stride,
+            "the largest result-free task took {calls} calls"
+        );
+        assert!(
+            flagged <= stride,
+            "a raised flag stopped the {calls}-call task only after {flagged} calls"
+        );
     }
 
     #[test]

@@ -99,6 +99,11 @@ pub fn run_seed(
 /// Enumerates all maximal k-plexes of `g` with at least `q` vertices,
 /// streaming them into `sink`. Returns the search statistics. Works over any
 /// [`GraphStore`] backend.
+///
+/// Seeds are walked in degeneracy order, last first, the order the
+/// parallel engine's workers pull them in: the dense core, where large
+/// plexes sit, comes first, so the first result does not wait for every
+/// sparse seed, and a 1-thread engine run emits the same sequence.
 pub fn enumerate<G: GraphStore + ?Sized>(
     g: &G,
     params: Params,
@@ -113,7 +118,7 @@ pub fn enumerate<G: GraphStore + ?Sized>(
     }
     let mut builder = SeedBuilder::new(n);
     let mut msink = MapSink::new(sink, &prep.map);
-    for &sv in &prep.decomp.order {
+    for &sv in prep.decomp.order.iter().rev() {
         let Some(seed) = builder.build(&prep.graph, &prep.decomp, sv, params, cfg) else {
             continue;
         };

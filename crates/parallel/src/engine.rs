@@ -445,7 +445,6 @@ impl Stage<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplex_core::enumerate::run_seed;
     use kplex_core::{enumerate_collect, FirstN};
     use kplex_graph::{gen, CsrGraph};
     use std::sync::atomic::AtomicU64;
@@ -752,18 +751,10 @@ mod tests {
         let g = gen::powerlaw_cluster(200, 5, 0.7, 8);
         let params = Params::new(3, 6).unwrap();
         let cfg = AlgoConfig::ours();
-        // The sequential driver's loop, walked in the engine's pull order
-        // (degeneracy order, last first) and stopped at its first result.
-        let prep = prepare(&g, params);
-        let mut builder = SeedBuilder::new(prep.graph.num_vertices());
-        let (mut first, mut serial) = (FirstN::new(1), SearchStats::default());
-        for &v in prep.decomp.order.iter().rev() {
-            if let Some(seed) = builder.build(&prep.graph, &prep.decomp, v, params, &cfg) {
-                if run_seed(&seed, params, &cfg, &mut first, &mut serial) == SinkFlow::Stop {
-                    break;
-                }
-            }
-        }
+        // The sequential driver, which walks seeds in the engine's pull
+        // order (degeneracy order, last first), stopped at its first result.
+        let mut first = FirstN::new(1);
+        let serial = kplex_core::enumerate(&g, params, &cfg, &mut first);
         assert_eq!(first.plexes.len(), 1, "instance must have results");
         let (_, full) = par_enumerate_count(&g, params, &cfg, &EngineOptions::with_threads(2));
         let capped_seeds = |threads: usize| {
@@ -783,6 +774,23 @@ mod tests {
             "2 workers built {two} of {} seeds for one result",
             full.seed_graphs
         );
+    }
+
+    #[test]
+    fn one_worker_emits_the_sequential_drivers_sequence() {
+        // `enumerate` walks seeds last-first, the order the engine's
+        // cursor hands them out, and one worker runs each seed's sub-tasks
+        // in `run_seed`'s order: the two emit the same unsorted sequence.
+        let g = gen::powerlaw_cluster(200, 5, 0.7, 8);
+        let params = Params::new(3, 6).unwrap();
+        let cfg = AlgoConfig::ours();
+        let mut serial = CollectSink::default();
+        kplex_core::enumerate(&g, params, &cfg, &mut serial);
+        let opts = EngineOptions::with_threads(1);
+        let (mut sinks, _) = run_parallel(&g, params, &cfg, &opts, CollectSink::default);
+        let engine = sinks.pop().expect("one sink").plexes;
+        assert!(serial.plexes.len() > 1, "instance must have results");
+        assert_eq!(engine, serial.plexes);
     }
 
     #[test]

@@ -44,9 +44,10 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// The last line read; reused so reading a reply or a streamed result
-    /// allocates nothing once it has grown to a line's length.
-    line: String,
+    /// The last line read, as bytes; reused so reading a reply or a
+    /// streamed result allocates nothing once it has grown to a line's
+    /// length.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -87,7 +88,7 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
-            line: String::new(),
+            line: Vec::new(),
         })
     }
 
@@ -95,15 +96,19 @@ impl Client {
         Ok(protocol::write_line(&mut self.writer, line)?)
     }
 
-    /// Reads the next line into the reused buffer and returns it without
-    /// its line ending.
-    fn read_line(&mut self) -> Result<&str, ClientError> {
+    /// Reads the next line into the reused buffer, newline included.
+    fn read_bytes(&mut self) -> Result<(), ClientError> {
         self.line.clear();
-        let n = self.reader.read_line(&mut self.line)?;
-        if n == 0 {
+        if self.reader.read_until(b'\n', &mut self.line)? == 0 {
             return Err(ClientError::Protocol("server closed the connection".into()));
         }
-        Ok(self.line.trim_end())
+        Ok(())
+    }
+
+    /// Reads the next line and returns it as text without its line ending.
+    fn read_line(&mut self) -> Result<&str, ClientError> {
+        self.read_bytes()?;
+        text(&self.line)
     }
 
     /// One simple request: sends `line`, expects a single `OK …` line and
@@ -244,11 +249,14 @@ impl Client {
     }
 
     /// Streams a job from the beginning: `on_plex(seq, plex)` per result,
-    /// then returns the `END` line's fields (`state=`, `results=`).
+    /// then returns the `END` line's fields (`state=`, `results=`). `plex`
+    /// is a buffer reused for every result, so the stream allocates nothing
+    /// per result; a caller that keeps a plex copies it (`plex.to_vec()`).
+    /// It is mutable so a caller may sort or otherwise reuse it in place.
     pub fn stream(
         &mut self,
         id: JobId,
-        mut on_plex: impl FnMut(u64, Vec<u32>),
+        mut on_plex: impl FnMut(u64, &mut [u32]),
     ) -> Result<BTreeMap<String, String>, ClientError> {
         self.stream_while(id, |seq, plex| {
             on_plex(seq, plex);
@@ -261,11 +269,12 @@ impl Client {
     /// results with `seq >= from`, then the `END` fields. A client whose
     /// connection died mid-stream passes the first seq it has not consumed
     /// and receives exactly the missing suffix — nothing is re-delivered.
+    /// `plex` is reused as in [`Client::stream`].
     pub fn stream_from(
         &mut self,
         id: JobId,
         from: u64,
-        mut on_plex: impl FnMut(u64, Vec<u32>),
+        mut on_plex: impl FnMut(u64, &mut [u32]),
     ) -> Result<BTreeMap<String, String>, ClientError> {
         self.stream_while_from(id, from, |seq, plex| {
             on_plex(seq, plex);
@@ -281,53 +290,73 @@ impl Client {
     pub fn stream_while(
         &mut self,
         id: JobId,
-        on_plex: impl FnMut(u64, Vec<u32>) -> bool,
+        on_plex: impl FnMut(u64, &mut [u32]) -> bool,
     ) -> Result<Option<BTreeMap<String, String>>, ClientError> {
         self.stream_while_from(id, 0, on_plex)
     }
 
-    /// [`Client::stream_while`] with a resume offset.
+    /// [`Client::stream_while`] with a resume offset. Every result line is
+    /// checked by the one result-line grammar the router also uses
+    /// ([`protocol::parse_plex_line`]); a line that fails it is a
+    /// [`ClientError::Protocol`].
     pub fn stream_while_from(
         &mut self,
         id: JobId,
         from: u64,
-        mut on_plex: impl FnMut(u64, Vec<u32>) -> bool,
+        mut on_plex: impl FnMut(u64, &mut [u32]) -> bool,
     ) -> Result<Option<BTreeMap<String, String>>, ClientError> {
-        self.stream_slices_from(id, from, |seq, plex, _| on_plex(seq, plex.to_vec()))
+        let mut plex = Vec::new();
+        self.stream_lines_from(id, from, |line, _| {
+            plex.clear();
+            let (_, seq, _) = protocol::scan_plex_line(line, |v| plex.push(v))?;
+            Ok(on_plex(seq, &mut plex))
+        })
     }
 
-    /// The primitive under every streaming entry point (the router's
-    /// transparent mid-stream failover uses it directly). Each result is
-    /// handed to `on_plex(seq, plex, more)` as a slice of one reused
-    /// buffer; `more` is true when further input has already arrived, so a
-    /// forwarder that batches its writes flushes exactly when it is false.
-    /// `on_plex` returning `false` abandons the stream with `Ok(None)`.
-    pub(crate) fn stream_slices_from(
+    /// The primitive under every streaming entry point; the router's
+    /// splice uses it directly. Sends `STREAM <id> FROM <from>`, reads the
+    /// reply line by line as bytes, and hands each result line, without
+    /// its newline, to `on_line(line, more)`; `more` is true when further
+    /// input has already arrived, so a forwarder that batches its writes
+    /// flushes exactly when it is false. `on_line` returns whether to go
+    /// on — `false` abandons the stream with `Ok(None)` — or, for a line it
+    /// rejects, the message of the resulting [`ClientError::Protocol`].
+    pub(crate) fn stream_lines_from(
         &mut self,
         id: JobId,
         from: u64,
-        mut on_plex: impl FnMut(u64, &[u32], bool) -> bool,
+        mut on_line: impl FnMut(&[u8], bool) -> Result<bool, String>,
     ) -> Result<Option<BTreeMap<String, String>>, ClientError> {
         self.send(&protocol::render_request(&protocol::Request::Stream(
             id, from,
         )))?;
-        let mut plex = Vec::new();
         loop {
-            let line = self.read_line()?;
-            if let Some(msg) = line.strip_prefix("ERR ") {
-                return Err(ClientError::Remote(msg.to_string()));
+            self.read_bytes()?;
+            let line = self.line.strip_suffix(b"\n").unwrap_or(&self.line);
+            if line.first() != Some(&b'{') {
+                let reply = text(line)?;
+                if let Some(msg) = reply.strip_prefix("ERR ") {
+                    return Err(ClientError::Remote(msg.to_string()));
+                }
+                if reply.starts_with("END") {
+                    return protocol::parse_response_fields(reply)
+                        .map(Some)
+                        .map_err(ClientError::Protocol);
+                }
             }
-            if line.starts_with("END") {
-                return protocol::parse_response_fields(line)
-                    .map(Some)
-                    .map_err(ClientError::Protocol);
-            }
-            let (_, seq) =
-                protocol::parse_plex_line_into(line, &mut plex).map_err(ClientError::Protocol)?;
             let more = !self.reader.buffer().is_empty();
-            if !on_plex(seq, &plex, more) {
-                return Ok(None);
+            match on_line(line, more) {
+                Ok(true) => {}
+                Ok(false) => return Ok(None),
+                Err(msg) => return Err(ClientError::Protocol(msg)),
             }
         }
     }
+}
+
+/// A reply line as text, without its line ending.
+fn text(line: &[u8]) -> Result<&str, ClientError> {
+    std::str::from_utf8(line)
+        .map(str::trim_end)
+        .map_err(|_| ClientError::Protocol("reply line is not UTF-8".into()))
 }

@@ -5,10 +5,13 @@
 //! job's result cap, stored flat as a `PlexBuf`) under a mutex + condvar,
 //! so any number of `STREAM` readers can follow a running job from the
 //! beginning and late subscribers replay everything. An append wakes the
-//! condvar only while a reader is blocked on it, so a job nobody follows
-//! live pays no wakeup per result. Cancellation is cooperative: the shared
-//! [`Job::cancel`] flag is the same `Arc` the engine's workers poll, so
-//! raising it stops the enumeration mid-task.
+//! condvar only when a blocked reader's armed threshold is reached: the
+//! first result after a quiet spell, or a full chunk during a burst (see
+//! `Job::next_results`). A job nobody follows live pays no wakeup per
+//! result, and one followed during a burst pays one per chunk.
+//! Cancellation is cooperative: the shared [`Job::cancel`] flag is the
+//! same `Arc` the engine's workers poll, so raising it stops the
+//! enumeration mid-task.
 
 use crate::protocol::JobId;
 use crate::sync::{OrderedCondvar, OrderedGuard, OrderedMutex, Rank};
@@ -18,6 +21,22 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Results copied out per lock acquisition, and the batch a busy `STREAM`
+/// reader waits for. The copy holds the job lock for O(chunk), never
+/// O(backlog), so a late subscriber catching up on a large backlog keeps
+/// the engine workers' `append_result` and `STATUS` snapshots responsive;
+/// and a reader following a fast job wakes, renders and flushes once per
+/// this many results instead of once per few.
+const CHUNK: usize = 1024;
+
+/// The coalescing window: how long a busy reader lets results gather
+/// before it takes what is there. It bounds the delay any result can pick
+/// up, and it is far below a human's or a small job's time scale (a
+/// many-small job takes ~30 ms), while at engine rate (~1 result/µs) it
+/// spans most of a chunk, so every tier downstream gets one wakeup per
+/// chunk. A wait of this length that finds nothing ends the burst.
+const WINDOW: Duration = Duration::from_millis(1);
 
 /// Where a job's graph comes from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -214,8 +233,11 @@ struct Progress {
     started: Option<Instant>,
     elapsed: Option<Duration>,
     /// `STREAM` readers blocked in [`Job::next_results`]'s wait, which
-    /// [`Job::append_result`] must wake.
+    /// [`Job::append_result`] may have to wake.
     stream_waiters: usize,
+    /// The lowest buffer length at which a blocked reader asked to be
+    /// woken; `usize::MAX` when none is armed.
+    wake_at: usize,
 }
 
 impl Progress {
@@ -293,6 +315,20 @@ pub struct JobSnapshot {
 /// locks (the journal's) or lock-free state (atomics).
 pub type TerminalHook = Arc<dyn Fn(JobId, &str, u64) + Send + Sync>;
 
+/// How a `STREAM` reader waits in [`Job::next_results`]: the switch
+/// between waking for every result and waking for every chunk.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum Pace {
+    /// Caught up and quiet: the next result wakes the reader at once, so
+    /// a job's first result and every result of a slow job go out as soon
+    /// as they are found.
+    #[default]
+    Quiet,
+    /// Following a burst: the reader waits until a chunk is ready or the
+    /// window has passed, whichever comes first.
+    Busy,
+}
+
 /// One step of a streaming read.
 pub enum StreamStep {
     /// New results were appended to the caller's buffer.
@@ -369,6 +405,7 @@ impl Job {
                     started: None,
                     elapsed: None,
                     stream_waiters: 0,
+                    wake_at: usize::MAX,
                 },
             ),
             cond: OrderedCondvar::new(),
@@ -407,11 +444,14 @@ impl Job {
     /// the job's stop cause, so a caller seeing `limit` back only has to
     /// stop reporting. Called by every engine worker of a running job.
     ///
-    /// Wakes the condvar only when a `STREAM` reader is blocked on it: the
-    /// waiter count is kept under this same lock, so a reader is either
-    /// counted (and woken) or has not yet checked the buffer (and will see
-    /// this result). The deadline watchdog, the condvar's other sleeper,
-    /// waits for terminal transitions, which notify unconditionally.
+    /// Wakes the condvar only when a `STREAM` reader is blocked on it and
+    /// this append fills the buffer to the lowest threshold a reader armed
+    /// (one result for a quiet reader, a chunk for a busy one); with nobody
+    /// waiting it makes no futex call. The count and the threshold are kept
+    /// under this same lock, so a reader is either armed (and woken at its
+    /// threshold) or has not yet checked the buffer (and will see this
+    /// result). The deadline watchdog, the condvar's other sleeper, waits
+    /// for terminal transitions, which notify unconditionally.
     pub fn append_result(&self, plex: impl AsRef<[VertexId]>) -> u64 {
         let mut p = self.lock();
         if (p.results.len() as u64) < self.spec.limit {
@@ -419,7 +459,9 @@ impl Job {
             if p.results.len() as u64 == self.spec.limit {
                 p.note_stop_cause(StopCause::Cap);
             }
-            if p.stream_waiters > 0 {
+            if p.stream_waiters > 0 && p.results.len() >= p.wake_at {
+                // Every armed reader wakes, re-checks and re-arms.
+                p.wake_at = usize::MAX;
                 self.cond.notify_all();
             }
         }
@@ -517,11 +559,16 @@ impl Job {
         }
     }
 
-    /// Appends results `[from, from + CHUNK)` to `buf`, waiting up to
-    /// `wait` for something to happen first. Drives the `STREAM` loop. The
-    /// copy is chunked so a late subscriber catching up on a large backlog
-    /// holds the job lock for O(chunk), never O(backlog) — the engine
-    /// workers' `append_result` and `STATUS` snapshots stay responsive.
+    /// Appends results `[from, from + CHUNK)` to `buf` once the reader's
+    /// [`Pace`] says to take them. Drives the `STREAM` loop.
+    ///
+    /// A quiet reader waits up to `idle` for the first result and takes it
+    /// at once. Having taken results it turns busy: it takes a full chunk
+    /// as soon as one is ready, and otherwise lets results gather for up
+    /// to [`WINDOW`] and then takes what is there. A window-long wait that
+    /// finds nothing turns it quiet again, and it goes on waiting for the
+    /// next result. A terminal job is never waited on, so `END` follows
+    /// its last result at once.
     ///
     /// The flag is true when the reader is caught up: `buf` now ends at the
     /// last result buffered so far, so nothing more is ready to send.
@@ -529,33 +576,50 @@ impl Job {
         &self,
         from: usize,
         buf: &mut PlexBuf,
-        wait: Duration,
+        pace: &mut Pace,
+        idle: Duration,
     ) -> (StreamStep, bool) {
-        /// Results copied out per lock acquisition.
-        const CHUNK: usize = 1024;
-        let copy = |p: &Progress, buf: &mut PlexBuf| {
+        let ready = |p: &Progress| p.results.len().saturating_sub(from);
+        let mut p = self.lock();
+        if *pace == Pace::Busy && ready(&p) < CHUNK && !p.state.is_terminal() {
+            p = self.wait_for(p, from.saturating_add(CHUNK), WINDOW);
+            if ready(&p) == 0 {
+                *pace = Pace::Quiet;
+            }
+        }
+        if *pace == Pace::Quiet && ready(&p) == 0 && !p.state.is_terminal() {
+            p = self.wait_for(p, from.saturating_add(1), idle);
+        }
+        if ready(&p) > 0 {
+            *pace = Pace::Busy;
             let to = p.results.len().min(from + CHUNK);
             buf.extend_from(&p.results, from..to);
             (StreamStep::Items, to == p.results.len())
-        };
-        let mut p = self.lock();
-        if p.results.len() > from {
-            return copy(&p, buf);
-        }
-        if p.state.is_terminal() {
-            return (StreamStep::Ended(p.state, p.results.len() as u64), true);
-        }
-        p.stream_waiters += 1;
-        let (p2, _timed_out) = self.cond.wait_timeout(p, wait);
-        p = p2;
-        p.stream_waiters -= 1;
-        if p.results.len() > from {
-            copy(&p, buf)
         } else if p.state.is_terminal() {
             (StreamStep::Ended(p.state, p.results.len() as u64), true)
         } else {
             (StreamStep::Idle, true)
         }
+    }
+
+    /// Blocks on the condvar for up to `wait`, armed to be woken once the
+    /// buffer holds `upto` results; a terminal transition wakes it too.
+    /// Returns after one wait: a caller that is woken early takes what is
+    /// there.
+    fn wait_for<'g>(
+        &self,
+        mut p: OrderedGuard<'g, Progress>,
+        upto: usize,
+        wait: Duration,
+    ) -> OrderedGuard<'g, Progress> {
+        p.stream_waiters += 1;
+        p.wake_at = p.wake_at.min(upto);
+        p = self.cond.wait_timeout(p, wait).0;
+        p.stream_waiters -= 1;
+        if p.stream_waiters == 0 {
+            p.wake_at = usize::MAX;
+        }
+        p
     }
 }
 
@@ -664,8 +728,9 @@ mod tests {
         job.append_result(vec![2, 3, 4]);
         job.append_result(vec![5, 6]);
         let mut buf = PlexBuf::default();
+        let tick = Duration::from_millis(1);
         assert!(matches!(
-            job.next_results(0, &mut buf, Duration::from_millis(1)),
+            job.next_results(0, &mut buf, &mut Pace::Quiet, tick),
             (StreamStep::Items, true)
         ));
         assert_eq!(buf.len(), 3);
@@ -674,17 +739,17 @@ mod tests {
         buf.clear();
         buf.push(&[9, 9]);
         assert!(matches!(
-            job.next_results(1, &mut buf, Duration::from_millis(1)),
+            job.next_results(1, &mut buf, &mut Pace::Quiet, tick),
             (StreamStep::Items, true)
         ));
         let plexes: Vec<&[VertexId]> = buf.iter().collect();
         assert_eq!(plexes, [&[9, 9][..], &[2, 3, 4], &[5, 6]]);
         assert!(matches!(
-            job.next_results(3, &mut buf, Duration::from_millis(1)),
+            job.next_results(3, &mut buf, &mut Pace::Quiet, tick),
             (StreamStep::Idle, true)
         ));
         job.finish(SearchStats::default());
-        match job.next_results(3, &mut buf, Duration::from_millis(1)).0 {
+        match job.next_results(3, &mut buf, &mut Pace::Busy, tick).0 {
             StreamStep::Ended(state, total) => {
                 assert_eq!(state, JobState::Done);
                 assert_eq!(total, 3);
@@ -707,10 +772,11 @@ mod tests {
             job.append_result([v]);
         }
         let mut buf = PlexBuf::default();
-        let (step, caught_up) = job.next_results(0, &mut buf, Duration::ZERO);
+        let mut pace = Pace::Quiet;
+        let (step, caught_up) = job.next_results(0, &mut buf, &mut pace, Duration::ZERO);
         assert!(matches!(step, StreamStep::Items));
         assert!(!caught_up, "1500 buffered, {} copied", buf.len());
-        let (step, caught_up) = job.next_results(buf.len(), &mut buf, Duration::ZERO);
+        let (step, caught_up) = job.next_results(buf.len(), &mut buf, &mut pace, Duration::ZERO);
         assert!(matches!(step, StreamStep::Items));
         assert!(caught_up);
         assert_eq!(buf.len(), 1500);
@@ -718,19 +784,27 @@ mod tests {
 
     #[test]
     fn an_append_wakes_a_blocked_reader() {
+        // A quiet stream wakes on its first result.
         let job = Job::new(8, spec());
         job.mark_running();
         std::thread::scope(|scope| {
             let reader = scope.spawn(|| {
                 let started = Instant::now();
                 let mut buf = PlexBuf::default();
-                let (step, _) = job.next_results(0, &mut buf, Duration::from_secs(10));
+                let (step, _) =
+                    job.next_results(0, &mut buf, &mut Pace::Quiet, Duration::from_secs(10));
                 (matches!(step, StreamStep::Items), started.elapsed())
             });
             // The reader counts itself under the lock and the condvar wait
             // releases that lock atomically, so once the count shows under
             // the lock the reader is parked and the append must wake it.
-            while job.lock().stream_waiters == 0 {
+            loop {
+                let p = job.lock();
+                if p.stream_waiters > 0 {
+                    assert_eq!(p.wake_at, 1, "a quiet reader waits for one result");
+                    break;
+                }
+                drop(p);
                 std::hint::spin_loop();
             }
             job.append_result([1, 2]);
@@ -741,5 +815,119 @@ mod tests {
                 "the append did not wake the reader: it waited {waited:?}"
             );
         });
+    }
+
+    #[test]
+    fn a_reader_armed_for_n_results_sleeps_through_n_minus_one_appends() {
+        const N: usize = 5;
+        let job = Job::new(
+            9,
+            JobSpec {
+                limit: 100,
+                ..spec()
+            },
+        );
+        job.mark_running();
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let started = Instant::now();
+                let p = job.wait_for(job.lock(), N, Duration::from_secs(10));
+                (p.results.len(), started.elapsed())
+            });
+            while job.lock().stream_waiters == 0 {
+                std::hint::spin_loop();
+            }
+            for v in 0..N as u32 - 1 {
+                job.append_result([v]);
+            }
+            // An append that notifies disarms the threshold, and the woken
+            // reader, which waits once, leaves the count: both are
+            // unchanged, so none of the N − 1 appends woke it.
+            {
+                let p = job.lock();
+                assert_eq!(p.stream_waiters, 1, "the reader left its wait early");
+                assert_eq!(p.wake_at, N, "an append below the threshold notified");
+            }
+            job.append_result([N as u32]);
+            let (seen, waited) = reader.join().expect("reader panicked");
+            assert_eq!(seen, N);
+            assert!(
+                waited < Duration::from_secs(5),
+                "the N-th append did not wake the reader: it waited {waited:?}"
+            );
+            let p = job.lock();
+            assert_eq!((p.stream_waiters, p.wake_at), (0, usize::MAX));
+        });
+    }
+
+    #[test]
+    fn a_resume_point_past_every_result_waits_without_overflow() {
+        // `FROM` comes from the client, so a running job may be followed
+        // from any seq, `u64::MAX` included.
+        let job = Job::new(11, spec());
+        job.mark_running();
+        let mut buf = PlexBuf::default();
+        for mut pace in [Pace::Quiet, Pace::Busy] {
+            let (step, _) = job.next_results(usize::MAX, &mut buf, &mut pace, Duration::ZERO);
+            assert!(matches!(step, StreamStep::Idle));
+            assert_eq!(pace, Pace::Quiet);
+        }
+        assert_eq!(buf.len(), 0);
+    }
+
+    #[test]
+    fn pace_turns_busy_with_results_and_quiet_after_an_empty_window() {
+        let job = Job::new(
+            10,
+            JobSpec {
+                limit: 5000,
+                ..spec()
+            },
+        );
+        job.mark_running();
+        let mut buf = PlexBuf::default();
+        let mut pace = Pace::default();
+        assert_eq!(pace, Pace::Quiet);
+        let mut step = |from: usize, pace: &mut Pace| {
+            buf.clear();
+            let (step, caught_up) = job.next_results(from, &mut buf, pace, Duration::ZERO);
+            (step, caught_up, buf.len())
+        };
+        // The first result is taken at once, and the reader turns busy.
+        job.append_result([0]);
+        assert!(matches!(step(0, &mut pace), (StreamStep::Items, true, 1)));
+        assert_eq!(pace, Pace::Busy);
+        // A busy reader short of a chunk takes what gathered in the window.
+        job.append_result([1]);
+        job.append_result([2]);
+        assert!(matches!(step(1, &mut pace), (StreamStep::Items, true, 2)));
+        assert_eq!(pace, Pace::Busy);
+        // A window that brings nothing ends the burst.
+        assert!(matches!(step(3, &mut pace), (StreamStep::Idle, true, 0)));
+        assert_eq!(pace, Pace::Quiet);
+        // A backlog is taken a chunk at a time, the tail after a window.
+        for v in 0..2 * CHUNK as u32 + 3 {
+            job.append_result([v]);
+        }
+        assert!(matches!(
+            step(3, &mut pace),
+            (StreamStep::Items, false, CHUNK)
+        ));
+        assert_eq!(pace, Pace::Busy);
+        assert!(matches!(
+            step(3 + CHUNK, &mut pace),
+            (StreamStep::Items, false, CHUNK)
+        ));
+        assert!(matches!(
+            step(3 + 2 * CHUNK, &mut pace),
+            (StreamStep::Items, true, 3)
+        ));
+        // A terminal job is not waited on: END follows the last result.
+        job.finish(SearchStats::default());
+        let total = 6 + 2 * CHUNK as u64;
+        assert!(matches!(
+            step(6 + 2 * CHUNK, &mut pace),
+            (StreamStep::Ended(JobState::Done, t), true, 0) if t == total
+        ));
     }
 }

@@ -408,7 +408,13 @@ fn push_decimal(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Parses a streamed NDJSON result line back into `(id, seq, plex)`.
-/// Accepts exactly the shape [`render_plex_line`] produces.
+///
+/// This is the one result-line grammar, which the router and the client
+/// both apply: exactly what [`render_plex_line`] produces,
+/// `{"id":D,"seq":D,"plex":[D(,D)*]}` or `[]` for the array, with no
+/// whitespace and no line ending, where each `D` is a canonical decimal
+/// (no sign, padding or leading zero) that fits its field: `u64` for the
+/// id and the seq, `u32` for a vertex id. Any other line is an error.
 pub fn parse_plex_line(line: &str) -> Result<(JobId, u64, Vec<u32>), String> {
     let mut plex = Vec::new();
     let (id, seq) = parse_plex_line_into(line, &mut plex)?;
@@ -421,59 +427,92 @@ pub fn parse_plex_line(line: &str) -> Result<(JobId, u64, Vec<u32>), String> {
 /// result. On error `plex` holds no meaningful content.
 pub fn parse_plex_line_into(line: &str, plex: &mut Vec<u32>) -> Result<(JobId, u64), String> {
     plex.clear();
-    let inner = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not a JSON object")?;
-    let mut id = None;
-    let mut seq = None;
-    let mut saw_plex = false;
-    // Split on the three known keys; the only nested structure is the array.
-    let mut rest = inner;
-    while !rest.is_empty() {
-        let rest2 = rest.strip_prefix(',').unwrap_or(rest);
-        let (key, after) = rest2
-            .strip_prefix('"')
-            .and_then(|s| s.split_once("\":"))
-            .ok_or("malformed key")?;
-        let (value, tail) = if let Some(arr) = after.strip_prefix('[') {
-            let (body, t) = arr.split_once(']').ok_or("unterminated array")?;
-            (body, t)
-        } else {
-            match after.find(',') {
-                Some(i) => (&after[..i], &after[i..]),
-                None => (after, ""),
-            }
-        };
-        match key {
-            "id" => id = Some(value.parse().map_err(|_| "bad id")?),
-            "seq" => seq = Some(value.parse().map_err(|_| "bad seq")?),
-            "plex" => {
-                // A repeated key replaces the earlier array.
-                plex.clear();
-                if !value.is_empty() {
-                    for t in value.split(',') {
-                        plex.push(t.trim().parse().map_err(|_| "bad plex element")?);
-                    }
-                }
-                saw_plex = true;
-            }
-            other => return Err(format!("unknown key {other:?}")),
-        }
-        rest = tail;
-    }
-    let id = id.ok_or("missing id")?;
-    let seq = seq.ok_or("missing seq")?;
-    if !saw_plex {
-        return Err("missing plex".into());
-    }
+    let (id, seq, _) = scan_plex_line(line.as_bytes(), |v| plex.push(v))?;
     Ok((id, seq))
+}
+
+/// Appends `line`, a result line of some job, to `out` as the same result
+/// of job `id`, and returns its seq. Only the id is rewritten; every byte
+/// after it is copied as it is, once [`scan_plex_line`] has accepted the
+/// whole line. The output is exactly `render_plex_line(id, seq, plex)`.
+pub(crate) fn splice_plex_line(out: &mut Vec<u8>, id: JobId, line: &[u8]) -> Result<u64, String> {
+    let (_, seq, tail) = scan_plex_line(line, |_| ())?;
+    out.extend_from_slice(b"{\"id\":");
+    push_decimal(out, id);
+    out.extend_from_slice(&line[tail..]);
+    Ok(seq)
+}
+
+/// The byte scanner behind every result-line reader: checks `line`,
+/// without its newline, against the grammar [`parse_plex_line`] states,
+/// hands each vertex id to `vertex` in order, and returns
+/// `(id, seq, tail)` with `line[tail..]` the part after the id.
+///
+/// A line it accepts holds nothing but the fixed key text, digits, commas
+/// and brackets, so a forwarded result line cannot carry anything a reply
+/// would have to redact.
+pub(crate) fn scan_plex_line(
+    line: &[u8],
+    mut vertex: impl FnMut(u32),
+) -> Result<(JobId, u64, usize), String> {
+    let mut at = 0;
+    literal(line, &mut at, b"{\"id\":")?;
+    let id = decimal(line, &mut at, "bad id")?;
+    let tail = at;
+    literal(line, &mut at, b",\"seq\":")?;
+    let seq = decimal(line, &mut at, "bad seq")?;
+    literal(line, &mut at, b",\"plex\":[")?;
+    if line.get(at) != Some(&b']') {
+        loop {
+            let v = decimal(line, &mut at, "bad plex element")?;
+            vertex(u32::try_from(v).map_err(|_| "bad plex element")?);
+            if line.get(at) != Some(&b',') {
+                break;
+            }
+            at += 1;
+        }
+    }
+    literal(line, &mut at, b"]}")?;
+    if at != line.len() {
+        return Err("trailing bytes after a result line".into());
+    }
+    Ok((id, seq, tail))
+}
+
+/// Moves `at` past `text`, which must come next in `line`.
+fn literal(line: &[u8], at: &mut usize, text: &[u8]) -> Result<(), String> {
+    if line[*at..].starts_with(text) {
+        *at += text.len();
+        Ok(())
+    } else {
+        Err("not a result line".into())
+    }
+}
+
+/// Reads the canonical decimal that comes next in `line` — `0`, or a
+/// nonzero digit and more digits — and moves `at` past it. `what` is the
+/// error when there is none or it does not fit a `u64`.
+fn decimal(line: &[u8], at: &mut usize, what: &str) -> Result<u64, String> {
+    let start = *at;
+    let mut value = 0u64;
+    while let Some(&d) = line.get(*at).filter(|d| d.is_ascii_digit()) {
+        value = value
+            .checked_mul(10)
+            .and_then(|v| v.checked_add(u64::from(d - b'0')))
+            .ok_or(what)?;
+        *at += 1;
+    }
+    match *at - start {
+        0 => Err(what.into()),
+        n if n > 1 && line[start] == b'0' => Err(what.into()),
+        _ => Ok(value),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn submit_roundtrip() {
@@ -627,6 +666,99 @@ mod tests {
             "{\"id\":18446744073709551615,\"seq\":18446744073709551615,\
              \"plex\":[0,4294967295]}"
         );
+    }
+
+    #[test]
+    fn result_lines_outside_the_grammar_are_rejected() {
+        let ok = "{\"id\":3,\"seq\":17,\"plex\":[4,8,15]}";
+        assert_eq!(parse_plex_line(ok).unwrap(), (3, 17, vec![4, 8, 15]));
+        for line in [
+            "{\"id\":03,\"seq\":17,\"plex\":[4,8,15]}", // leading zero
+            "{\"id\":3,\"seq\":17,\"plex\":[4,08,15]}", // leading zero
+            "{\"id\":+3,\"seq\":17,\"plex\":[4,8,15]}", // sign
+            "{\"id\":3,\"seq\":17,\"plex\":[4, 8,15]}", // padded element
+            "{\"id\":3,\"seq\":17,\"plex\":[4,8,15] }", // padding
+            " {\"id\":3,\"seq\":17,\"plex\":[4,8,15]}", // padding
+            "{\"id\":3,\"seq\":17,\"plex\":[4,8,15]}\r", // carriage return
+            "{\"id\":3,\"seq\":17,\"plex\":[4,8,15]}\n", // newline
+            "{\"seq\":17,\"id\":3,\"plex\":[4,8,15]}",  // reordered keys
+            "{\"id\":3,\"seq\":17,\"plex\":[4,,15]}",   // empty element
+            "{\"id\":3,\"seq\":17,\"plex\":[4,8,]}",    // trailing comma
+            "{\"id\":3,\"seq\":17,\"plex\":[,]}",       // lone comma
+            "{\"id\":3,\"seq\":17,\"plex\":[4,8,15]",   // unterminated
+            "{\"id\":3,\"seq\":17,\"plex\":[4,8,15]}}", // trailing byte
+            "{\"id\":3,\"seq\":17,\"plex\":[-4]}",      // negative
+            "{\"id\":3,\"seq\":17,\"plex\":[4294967296]}", // u32 overflow
+            "{\"id\":18446744073709551616,\"seq\":0,\"plex\":[]}", // u64 overflow
+            "{\"id\":3,\"seq\":,\"plex\":[4]}",         // missing seq
+            "{\"id\":3,\"seq\":17,\"plex\":[4],\"x\":1}", // extra key
+        ] {
+            assert!(parse_plex_line(line).is_err(), "{line:?} must not parse");
+            let mut out = b"kept".to_vec();
+            assert!(splice_plex_line(&mut out, 9, line.as_bytes()).is_err());
+            assert_eq!(out, b"kept", "a rejected line must not be spliced");
+        }
+    }
+
+    /// A rendered line, possibly edited: up to three single-byte inserts,
+    /// deletions or replacements drawn from the bytes that matter to the
+    /// grammar (and a few that never may appear in it).
+    fn arb_line() -> impl Strategy<Value = Vec<u8>> {
+        const BYTES: &[u8] = b"0123456789,[]{}:\"idseqplx +-\r\n\t\xff";
+        let plex = proptest::collection::vec(prop_oneof![Just(u32::MAX), any::<u32>()], 0..8);
+        let edit = (0usize..64, 0u8..3, 0usize..BYTES.len());
+        (
+            prop_oneof![Just(u64::MAX), any::<u64>(), 0u64..20],
+            any::<u64>(),
+            plex,
+            proptest::collection::vec(edit, 0..4),
+        )
+            .prop_map(|(id, seq, plex, edits)| {
+                let mut line = render_plex_line(id, seq, &plex).into_bytes();
+                for (at, kind, b) in edits {
+                    let at = at % (line.len() + 1);
+                    match kind {
+                        0 => line.insert(at, BYTES[b]),
+                        1 if at < line.len() => {
+                            line.remove(at);
+                        }
+                        _ if at < line.len() => line[at] = BYTES[b],
+                        _ => {}
+                    }
+                }
+                line
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The router's splice of a backend line is the line the router
+        /// would have rendered itself.
+        #[test]
+        fn splice_equals_render(rid in any::<u64>(), id in any::<u64>(), seq in any::<u64>(),
+                                plex in proptest::collection::vec(any::<u32>(), 0..24)) {
+            let mut out = b"prefix\n".to_vec();
+            let line = render_plex_line(id, seq, &plex);
+            prop_assert_eq!(splice_plex_line(&mut out, rid, line.as_bytes()), Ok(seq));
+            prop_assert_eq!(&out[..7], b"prefix\n");
+            let rendered = render_plex_line(rid, seq, &plex);
+            prop_assert_eq!(&out[7..], rendered.as_bytes());
+        }
+
+        /// The router and the client accept exactly the same lines, never
+        /// panic on any, and agree on what an accepted line says.
+        #[test]
+        fn router_and_client_accept_the_same_lines(line in arb_line(), rid in 0u64..1000) {
+            let mut spliced = Vec::new();
+            let routed = splice_plex_line(&mut spliced, rid, &line);
+            let parsed = std::str::from_utf8(&line).map_err(|e| e.to_string()).and_then(parse_plex_line);
+            prop_assert_eq!(routed.is_ok(), parsed.is_ok(), "line {:?}", String::from_utf8_lossy(&line));
+            if let (Ok(seq), Ok((_, parsed_seq, plex))) = (routed, parsed) {
+                prop_assert_eq!(seq, parsed_seq);
+                prop_assert_eq!(spliced, render_plex_line(rid, seq, &plex).into_bytes());
+            }
+        }
     }
 
     #[test]

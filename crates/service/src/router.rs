@@ -784,8 +784,8 @@ fn place(state: &Arc<RouterState>, args: &SubmitArgs) -> Result<(String, JobId),
 /// One reply line through the token-redaction chokepoint: with a
 /// principal store loaded, every registered token is scrubbed before the
 /// line hits the wire. Streamed NDJSON plex lines deliberately bypass this
-/// — [`proxy_stream`] re-renders each from parsed numbers, so they are
-/// numeric-only by construction, and they form the hot path.
+/// — [`proxy_stream`] forwards only lines that pass the strict result-line
+/// grammar, so they are numeric-only, and they form the hot path.
 fn reply_line<W: Write>(writer: &mut W, state: &RouterState, line: &str) -> std::io::Result<()> {
     if state.secrets.is_empty() {
         protocol::write_line(writer, line)
@@ -813,8 +813,9 @@ fn handle_connection(stream: TcpStream, state: &Arc<RouterState>) -> std::io::Re
     let mut auth: Option<crate::auth::Principal> = None;
     // Every reply line leaves through this chokepoint so a registered
     // token can never be echoed back — not in errors, not in proxied
-    // backend messages. Streamed NDJSON plex lines bypass it (they are
-    // numeric-only by construction, and the stream is the hot path).
+    // backend messages. Streamed NDJSON plex lines bypass it (the strict
+    // grammar check keeps them numeric-only, and the stream is the hot
+    // path).
     let reply = |writer: &mut TcpStream, line: &str| -> std::io::Result<()> {
         reply_line(writer, state, line)
     };
@@ -1266,7 +1267,8 @@ fn proxy_cancel(state: &Arc<RouterState>, rid: JobId) -> String {
 /// Lines reach the client through one `BufWriter`, flushed whenever the
 /// backend connection has nothing more buffered and before the closing
 /// `END` or `ERR`: a backlog is forwarded in full buffers, and a trickle
-/// line by line as it arrives.
+/// line by line as it arrives. Because the backend already batches a busy
+/// job's results, the router wakes once per batch too.
 fn proxy_stream(
     writer: &mut TcpStream,
     state: &Arc<RouterState>,
@@ -1282,6 +1284,14 @@ fn proxy_stream(
 /// The body of [`proxy_stream`]: forwards results into `out` and returns
 /// the closing `END` or `ERR` line. An `Err` means the downstream client
 /// went away.
+///
+/// Result lines are spliced, not re-rendered: each backend line is read as
+/// bytes, checked against the exact result-line grammar
+/// ([`protocol::splice_plex_line`]), and copied with only its id rewritten;
+/// its `seq` drives the exactly-once resume. The strict check is what
+/// keeps forwarded result lines numeric-only, so they may bypass reply
+/// redaction. A line that fails it ends the attempt as a protocol error,
+/// which fails the backend over like a broken connection.
 fn forward_results(
     out: &mut impl Write,
     state: &Arc<RouterState>,
@@ -1316,11 +1326,12 @@ fn forward_results(
         // fails — the router must not drain a 10^9-result stream nobody is
         // reading.
         let streamed = streaming(state, &t_backend).and_then(|mut c| {
-            c.stream_slices_from(t_remote, next_seq, |seq, plex, more| {
-                // Re-rendered from parsed numbers, with the id rewritten to
-                // the router namespace.
+            c.stream_lines_from(t_remote, next_seq, |backend_line, more| {
+                // Spliced: the backend's bytes with the id rewritten to
+                // the router namespace, once the line passed the strict
+                // result-line check.
                 line.clear();
-                protocol::write_plex_line(&mut line, rid, seq, plex);
+                let seq = protocol::splice_plex_line(&mut line, rid, backend_line)?;
                 line.push(b'\n');
                 let written =
                     out.write_all(&line)
@@ -1335,11 +1346,11 @@ fn forward_results(
                             // running rather than still queued.
                             note_state(state, rid, "running", &job);
                         }
-                        true
+                        Ok(true)
                     }
                     Err(e) => {
                         write_err = Some(e);
-                        false
+                        Ok(false)
                     }
                 }
             })

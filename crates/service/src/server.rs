@@ -36,7 +36,7 @@
 
 use crate::auth::Principal;
 use crate::cache::{CacheStats, GraphCache};
-use crate::job::{GraphSource, Job, JobSpec, PlexBuf, StreamStep};
+use crate::job::{GraphSource, Job, JobSpec, Pace, PlexBuf, StreamStep};
 use crate::journal::Journal;
 use crate::protocol::{self, JobId, Request, SubmitArgs};
 use crate::sync::{OrderedCondvar, OrderedMutex, Rank};
@@ -947,11 +947,16 @@ fn status_line(job: &Job, secrets: &[String]) -> String {
 /// journaled delivery floor — and follows the job until it is terminal,
 /// then writes the `END` line.
 ///
-/// Lines are rendered into one reused buffer and written in batches: the
-/// socket sees a write when the `BufWriter` fills and whenever the stream
-/// has caught up with the job, i.e. nothing more is ready. A backlog thus
-/// leaves in full buffers, and a live follower of a slow job gets each
-/// result as soon as it is buffered, with no timer involved.
+/// Results are taken from the job by [`Job::next_results`]'s wake rule:
+/// the first result after a quiet spell at once, and during a burst a
+/// chunk of 1,024 results or whatever gathered in 1 ms, whichever comes
+/// first. Lines are rendered into one reused buffer and written in
+/// batches: the socket sees a write when the `BufWriter` fills and
+/// whenever the stream has caught up with the job, i.e. nothing more is
+/// ready. A backlog thus leaves in full buffers, a reader keeping up with
+/// a busy job wakes and flushes once per chunk instead of once per few
+/// results, and a live follower of a slow job gets each result as soon as
+/// it is buffered.
 ///
 /// The `END` line reports the **actually-sent** high-water position
 /// (`results=` is the next undelivered seq), not the job's buffered total:
@@ -988,9 +993,10 @@ fn stream_job(
         }
     };
     let mut buf = PlexBuf::default();
+    let mut pace = Pace::default();
     loop {
         buf.clear();
-        let (step, caught_up) = job.next_results(sent, &mut buf, WAIT_TICK);
+        let (step, caught_up) = job.next_results(sent, &mut buf, &mut pace, WAIT_TICK);
         match step {
             StreamStep::Items => {
                 for plex in buf.iter() {

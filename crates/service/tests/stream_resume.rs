@@ -42,7 +42,7 @@ fn fixture() -> &'static Fixture {
         let id = c.submit(&args).expect("submit");
         let mut full = Vec::new();
         let end = c
-            .stream(id, |seq, plex| full.push((seq, plex)))
+            .stream(id, |seq, plex| full.push((seq, plex.to_vec())))
             .expect("stream fixture job");
         assert_eq!(end.get("state").map(String::as_str), Some("done"));
         assert!(!full.is_empty(), "fixture job must produce results");
@@ -77,7 +77,7 @@ proptest! {
                 if prefix.len() as u64 == p {
                     return false; // delivered but never consumed: resume at p
                 }
-                prefix.push((seq, plex));
+                prefix.push((seq, plex.to_vec()));
                 true
             })
             .expect("prefix stream");
@@ -86,7 +86,7 @@ proptest! {
         let mut resumed = prefix.clone();
         let mut c = Client::connect(&fx.addr).expect("reconnect");
         let end = c
-            .stream_from(fx.id, p, |seq, plex| resumed.push((seq, plex)))
+            .stream_from(fx.id, p, |seq, plex| resumed.push((seq, plex.to_vec())))
             .expect("resumed stream");
         prop_assert_eq!(end.get("state").map(String::as_str), Some("done"));
         prop_assert_eq!(end.get("results"), Some(&total.to_string()));
