@@ -1,14 +1,12 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! Usage: `repro [--threads N] <experiment>` where experiment is one of
-//! `table2 table3 table4 table5 table6 table7 fig7 fig8 fig9 fig13 all`,
-//! or `bench-smoke` for the CI perf-snapshot job (writes `BENCH_3.json`,
-//! the storage-substrate snapshot `BENCH_4.json`, and the scheduler
-//! thread-sweep snapshot `BENCH_5.json`).
+//! `table2 table3 table4 table5 table6 table7 fig7 fig8 fig9 fig13 pivot
+//! ctcp all`.
 //!
 //! Each experiment prints a markdown artifact and stores it under
 //! `results/<id>.md`. Absolute numbers are from the synthetic stand-in
-//! datasets (see DESIGN.md §3); what is compared against the paper is the
+//! datasets (`kplex-datasets`); what is compared against the paper is the
 //! *shape*: who wins, by what factor, and where the crossovers fall.
 
 use kplex_baselines::Algorithm;
@@ -55,7 +53,6 @@ fn main() {
         "fig13" => fig13(),
         "pivot" => pivot_ablation(),
         "ctcp" => ctcp_ablation(),
-        "bench-smoke" => bench_smoke(args.get(1).map(String::as_str)),
         "all" => {
             table2();
             table3();
@@ -73,228 +70,12 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: repro [--threads N] \
-                 <table2|table3|table4|table5|table6|table7|fig7|fig8|fig9|fig13|pivot|ctcp|bench-smoke|all>"
+                 <table2|table3|table4|table5|table6|table7|fig7|fig8|fig9|fig13|pivot|ctcp|all>"
             );
             std::process::exit(2);
         }
     }
     eprintln!("\n[repro] finished in {:.1}s", t0.elapsed().as_secs_f64());
-}
-
-// --- bench-smoke: the CI perf snapshot --------------------------------------
-
-/// Runs the two representative `t3_sequential` cells a handful of times and
-/// writes the medians to `BENCH_3.json` (or to `path` when given). CI uploads
-/// the file as an artifact so the perf trajectory has one data point per
-/// merge; the committed copy records the pre/post medians of the seed
-/// builder's pre-matrix common-neighbour gate (see also `BENCH_2.json` for
-/// the PR 2 branch-kernel swap).
-fn bench_smoke(path: Option<&str>) {
-    const RUNS: usize = 5;
-    let cells = [("lastfm", 4usize, 9usize), ("wiki-vote", 3, 9)];
-    let mut entries = Vec::new();
-    for (ds, k, q) in cells {
-        let g = load(ds);
-        let mut times = Vec::with_capacity(RUNS);
-        let mut count = 0u64;
-        for _ in 0..RUNS {
-            let (secs, c) = kplex_bench::time_algorithm(Algorithm::Ours, &g, k, q);
-            times.push(secs);
-            count = c;
-        }
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let median = times[RUNS / 2];
-        eprintln!(
-            "[bench-smoke] {ds} k={k} q={q}: median {}s over {RUNS} runs",
-            fmt_secs(median)
-        );
-        entries.push(format!(
-            "    {{\"dataset\": \"{ds}\", \"k\": {k}, \"q\": {q}, \"algo\": \"Ours\", \
-             \"runs\": {RUNS}, \"median_s\": {median:.6}, \"plexes\": {count}}}"
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"t3_sequential/bench-smoke\",\n  \"cells\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    let out = path.unwrap_or("BENCH_3.json");
-    std::fs::write(out, &json).expect("write bench snapshot");
-    println!("{json}");
-    eprintln!("[bench-smoke] wrote {out}");
-    store_smoke();
-}
-
-/// The storage-substrate snapshot: the wiki-vote (3, 9) cell enumerated
-/// through each [`kplex_graph::GraphStore`] backend, recording the
-/// enumeration wall-clock and the allocator high-water mark with the store
-/// resident. Written to `BENCH_4.json`, uploaded by CI next to
-/// `BENCH_3.json`.
-///
-/// The `.kpx` conversion for the mmap run happens up front, unmeasured —
-/// that is `kplex convert`'s one-off job in a deployment. Each store is
-/// built (and the source CSR dropped) *before* the peak counter resets, so
-/// the recorded peak is the cost of serving enumeration from that backend:
-/// resident store bytes plus the search's working set. Mapped `.kpx` pages
-/// live in the kernel page cache, not on this heap, which is exactly the
-/// out-of-core story being measured.
-fn store_smoke() {
-    use kplex_graph::{StoreBackend, StoreKind};
-    const RUNS: usize = 3;
-    let (ds, k, q) = ("wiki-vote", 3usize, 9usize);
-    let params = Params::new(k, q).expect("valid parameters");
-    let cfg = kplex_core::AlgoConfig::ours();
-    let kpx = kplex_datasets::by_name(ds)
-        .expect("registry dataset")
-        .ensure_kpx()
-        .expect("convert to .kpx");
-
-    let mut entries = Vec::new();
-    let mut medians = Vec::new();
-    let mut peaks = Vec::new();
-    for kind in [StoreKind::Csr, StoreKind::Compressed, StoreKind::Mmap] {
-        let store = match kind {
-            StoreKind::Mmap => StoreBackend::open_mmap(&kpx).expect("open converted .kpx"),
-            _ => StoreBackend::from_graph(load(ds), kind),
-        };
-        PeakAlloc::reset_peak();
-        let mut times = Vec::with_capacity(RUNS);
-        let mut count = 0u64;
-        for _ in 0..RUNS {
-            let t0 = Instant::now();
-            let (c, _) = kplex_core::enumerate_count(&store, params, &cfg);
-            times.push(t0.elapsed().as_secs_f64());
-            count = c;
-        }
-        let peak = PeakAlloc::peak_bytes();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let median = times[RUNS / 2];
-        eprintln!(
-            "[bench-smoke] {ds} k={k} q={q} store={}: median {}s, peak {} over {RUNS} runs",
-            kind.label(),
-            fmt_secs(median),
-            fmt_mib(peak),
-        );
-        entries.push(format!(
-            "    {{\"dataset\": \"{ds}\", \"k\": {k}, \"q\": {q}, \"store\": \"{}\", \
-             \"runs\": {RUNS}, \"median_s\": {median:.6}, \"plexes\": {count}, \
-             \"peak_bytes\": {peak}, \"store_bytes\": {}}}",
-            kind.label(),
-            store.resident_bytes(),
-        ));
-        medians.push(median);
-        peaks.push(peak);
-    }
-    // The headline ratios: mmap should enumerate within a small factor of
-    // CSR while holding a fraction of its heap.
-    eprintln!(
-        "[bench-smoke] store ratios vs csr: compressed {} peak / {} time, mmap {} peak / {} time",
-        fmt_ratio(peaks[1] as f64 / peaks[0] as f64),
-        fmt_ratio(medians[1] / medians[0]),
-        fmt_ratio(peaks[2] as f64 / peaks[0] as f64),
-        fmt_ratio(medians[2] / medians[0]),
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"store-substrate/bench-smoke\",\n  \"cells\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    std::fs::write("BENCH_4.json", &json).expect("write store snapshot");
-    println!("{json}");
-    eprintln!("[bench-smoke] wrote BENCH_4.json");
-    thread_sweep();
-}
-
-/// The scheduler thread-sweep snapshot: the wiki-vote (3, 9) cell run
-/// through the work-stealing engine at 1/2/4/8 workers, recording median
-/// wall-clock plus the per-configuration deltas of the engine's
-/// steal/park counters ([`kplex_parallel::SchedMetrics`]). Written to `BENCH_5.json`,
-/// uploaded by CI next to `BENCH_4.json`.
-///
-/// Two properties are asserted, not just recorded: every thread count
-/// yields the identical plex count (the engine is exact under any
-/// schedule), and parks balance unparks once the pool quiesces (nobody
-/// sleeps past termination). Wall-clock *speedup* is recorded but not
-/// asserted — it is a property of the host: the JSON carries
-/// `host_threads` so a reader can tell a scheduler regression from a
-/// one-core CI box, where all thread counts legitimately tie.
-fn thread_sweep() {
-    use kplex_parallel::SchedMetrics;
-    use std::sync::Arc;
-    const RUNS: usize = 3;
-    let (ds, k, q) = ("wiki-vote", 3usize, 9usize);
-    let params = Params::new(k, q).expect("valid parameters");
-    let cfg = kplex_core::AlgoConfig::ours();
-    let g = load(ds);
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let metrics = Arc::new(SchedMetrics::default());
-    let mut entries = Vec::new();
-    let mut medians = Vec::new();
-    let mut counts = Vec::new();
-    for nthreads in [1usize, 2, 4, 8] {
-        let mut opts = EngineOptions::with_threads(nthreads);
-        opts.timeout = Some(Duration::from_micros(100));
-        opts.metrics = Some(metrics.clone());
-        let before = (
-            metrics.steals(),
-            metrics.injector_steals(),
-            metrics.parks(),
-            metrics.unparks(),
-        );
-        let mut times = Vec::with_capacity(RUNS);
-        let mut count = 0u64;
-        for _ in 0..RUNS {
-            let t0 = Instant::now();
-            let (c, _) = par_enumerate_count(&g, params, &cfg, &opts);
-            times.push(t0.elapsed().as_secs_f64());
-            count = c;
-        }
-        let (steals, inj, parks, unparks) = (
-            metrics.steals() - before.0,
-            metrics.injector_steals() - before.1,
-            metrics.parks() - before.2,
-            metrics.unparks() - before.3,
-        );
-        assert_eq!(
-            parks, unparks,
-            "{nthreads}-thread runs ended with a worker still parked"
-        );
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let median = times[RUNS / 2];
-        eprintln!(
-            "[bench-smoke] {ds} k={k} q={q} threads={nthreads}: median {}s, \
-             {steals} steals / {inj} injector steals / {parks} parks over {RUNS} runs",
-            fmt_secs(median)
-        );
-        entries.push(format!(
-            "    {{\"dataset\": \"{ds}\", \"k\": {k}, \"q\": {q}, \"threads\": {nthreads}, \
-             \"runs\": {RUNS}, \"median_s\": {median:.6}, \"plexes\": {count}, \
-             \"steals\": {steals}, \"injector_steals\": {inj}, \
-             \"parks\": {parks}, \"unparks\": {unparks}}}"
-        ));
-        medians.push(median);
-        counts.push(count);
-    }
-    assert!(
-        counts.windows(2).all(|w| w[0] == w[1]),
-        "result counts diverged across thread counts: {counts:?}"
-    );
-    eprintln!(
-        "[bench-smoke] thread sweep speedup vs 1 thread (host has {host}): \
-         2thr {} 4thr {} 8thr {}",
-        fmt_ratio(medians[0] / medians[1]),
-        fmt_ratio(medians[0] / medians[2]),
-        fmt_ratio(medians[0] / medians[3]),
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"sched-thread-sweep/bench-smoke\",\n  \
-         \"host_threads\": {host},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    std::fs::write("BENCH_5.json", &json).expect("write sched snapshot");
-    println!("{json}");
-    eprintln!("[bench-smoke] wrote BENCH_5.json");
 }
 
 static THREAD_OVERRIDE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();

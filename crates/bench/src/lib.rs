@@ -1,13 +1,14 @@
 //! # kplex-bench
 //!
-//! Benchmark harness for the reproduction: experiment specifications for
-//! every table and figure of the paper's Section 7 / Appendix B, a
-//! peak-memory tracking allocator (Table 7), markdown reporting, and the
-//! `repro` binary that regenerates each artifact.
+//! The paper-reproduction harness: experiment specifications for every
+//! table and figure of the paper's Section 7 / Appendix B, a peak-memory
+//! tracking allocator (Table 7), markdown reporting, and the `repro` binary
+//! that regenerates each artifact, running each grid once with wall-clock
+//! timing, like the paper.
 //!
-//! Criterion micro-benchmarks live under `benches/`, one per table/figure;
-//! the statistical benches use reduced cells so `cargo bench` stays bounded,
-//! while `repro` runs the full grids once (wall-clock, like the paper).
+//! It does not time the system for regressions: that is `perfbench/`, the
+//! one benchmark, which drives jobs end to end through `kplexr` → `kplexd`
+//! → engine.
 
 #![deny(missing_docs)]
 

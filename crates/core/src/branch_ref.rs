@@ -7,13 +7,11 @@
 //! the lines 2–3 tightening pass tests candidates one vertex at a time. It is
 //! deliberately simple and allocation-heavy.
 //!
-//! It exists for two reasons:
-//! * the kernel-equivalence suite (`tests/kernel_equivalence.rs`) asserts
-//!   that the production arena kernel visits a byte-identical search tree
-//!   (`branch_calls`, `ub_pruned`, `pair_pruned`, `outputs`, …) on the
-//!   differential grid;
-//! * the `substrate` bench compares the two kernels head-to-head, which is
-//!   the "old vs new" cell behind the `BENCH_2.json` snapshot.
+//! It exists as the oracle of the kernel-equivalence suite
+//! (`tests/kernel_equivalence.rs`), which asserts that the production arena
+//! kernel visits a byte-identical search tree (`branch_calls`, `ub_pruned`,
+//! `pair_pruned`, `outputs`, …) on the differential grid, and as the
+//! allocating contrast cell in `crates/bench/tests/alloc_free.rs`.
 //!
 //! Do not extend this module with new features; it tracks the legacy
 //! behaviour, not the production searcher.

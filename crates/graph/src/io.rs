@@ -105,15 +105,19 @@ pub fn decode_binary(mut data: &[u8]) -> Result<CsrGraph, GraphError> {
         return Err(GraphError::BinaryFormat("bad magic".into()));
     }
     data.advance(MAGIC.len());
-    let n = data.get_u64_le() as usize;
-    let m2 = data.get_u64_le() as usize;
-    if data.remaining() != 4 * n + 4 * m2 {
+    let n = data.get_u64_le();
+    let m2 = data.get_u64_le();
+    // The header sizes come from the file: check them against the payload
+    // length without overflow before they size any allocation.
+    let expected = n.checked_add(m2).and_then(|words| words.checked_mul(4));
+    if expected != Some(data.remaining() as u64) {
         return Err(GraphError::BinaryFormat(format!(
-            "expected {} payload bytes, found {}",
-            4 * n + 4 * m2,
+            "header claims n = {n}, 2m = {m2}, found {} payload bytes",
             data.remaining()
         )));
     }
+    // Both fit in usize now: 4 * (n + m2) equals a slice length.
+    let (n, m2) = (n as usize, m2 as usize);
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0usize);
     let mut acc = 0usize;
@@ -212,6 +216,27 @@ mod tests {
         ));
         let bytes = encode_binary(&g);
         assert!(decode_binary(&bytes[..bytes.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_hostile_header_sizes() {
+        // Headers whose 4 * (n + 2m) overflows u64 (and would wrap to the
+        // payload length in a release build) must be rejected before any
+        // allocation is sized from them.
+        for (n, m2) in [
+            (1u64 << 62, 0u64),
+            (0, 1 << 62),
+            (1 << 63, 1 << 63),
+            (u64::MAX, 1),
+        ] {
+            let mut bytes = MAGIC.to_vec();
+            bytes.put_u64_le(n);
+            bytes.put_u64_le(m2);
+            assert!(
+                matches!(decode_binary(&bytes), Err(GraphError::BinaryFormat(_))),
+                "n = {n}, 2m = {m2}"
+            );
+        }
     }
 
     #[test]

@@ -94,8 +94,8 @@ pub enum SchedEvent {
 pub type SchedHook = Arc<dyn Fn(SchedEvent) + Send + Sync>;
 
 /// Monotonic scheduler counters, shared across jobs when the caller keeps
-/// the `Arc` (the service aggregates one per process; the bench sweep
-/// reads deltas around each run). All counters are cumulative totals.
+/// the `Arc` (the service aggregates one per process; perfbench gives each
+/// run its own). All counters are cumulative totals.
 #[derive(Debug, Default)]
 pub struct SchedMetrics {
     steals: AtomicU64,

@@ -269,7 +269,11 @@ impl Client {
     /// results with `seq >= from`, then the `END` fields. A client whose
     /// connection died mid-stream passes the first seq it has not consumed
     /// and receives exactly the missing suffix — nothing is re-delivered.
-    /// `plex` is reused as in [`Client::stream`].
+    /// That holds within one run of the job; if the job ran again since
+    /// (journal replay, router requeue or replica promotion), it holds only
+    /// for `threads=1` jobs, because at higher thread counts the new run may
+    /// order its results differently. `plex` is reused as in
+    /// [`Client::stream`].
     pub fn stream_from(
         &mut self,
         id: JobId,
@@ -295,8 +299,10 @@ impl Client {
         self.stream_while_from(id, 0, on_plex)
     }
 
-    /// [`Client::stream_while`] with a resume offset. Every result line is
-    /// checked by the one result-line grammar the router also uses
+    /// [`Client::stream_while`] with a resume offset, exact under the same
+    /// condition as [`Client::stream_from`]: within one run of the job, or
+    /// across a re-run only at `threads=1`. Every result line is checked by
+    /// the one result-line grammar the router also uses
     /// ([`protocol::parse_plex_line`]); a line that fails it is a
     /// [`ClientError::Protocol`].
     pub fn stream_while_from(

@@ -1260,9 +1260,12 @@ fn proxy_cancel(state: &Arc<RouterState>, rid: JobId) -> String {
 /// mid-stream failover**: `next_seq` tracks the first seq the downstream
 /// client has not received, and a backend lost mid-stream is retried on
 /// the job's new placement — a promoted replica or the requeued copy —
-/// with `STREAM … FROM next_seq`. The client sees one gapless,
-/// duplicate-free stream; the only surviving failure mode is every
-/// placement dying ([`MAX_PROXY_ATTEMPTS`] times over).
+/// with `STREAM … FROM next_seq`. The client sees one stream; the only
+/// surviving failure mode is every placement dying
+/// ([`MAX_PROXY_ATTEMPTS`] times over). The stream is gapless and
+/// duplicate-free for a `threads=1` job; at higher thread counts the new
+/// placement may order its results differently, so the resumed suffix
+/// can repeat some results and miss others.
 ///
 /// Lines reach the client through one `BufWriter`, flushed whenever the
 /// backend connection has nothing more buffered and before the closing

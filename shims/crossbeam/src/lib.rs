@@ -1,116 +1,14 @@
-//! Offline stand-in for `crossbeam` (deque + utils + sync subsets).
+//! Offline stand-in for `crossbeam` (deque + sync subsets).
 //!
 //! The parallel engine needs a per-worker deque with owner-side LIFO pop
 //! and thief-side FIFO steal — the crossbeam-deque `Worker`/`Stealer` API —
 //! plus a global [`deque::Injector`] for initial injection and overflow,
-//! the [`utils::Backoff`] helper for idle spinning, and the token-based
-//! [`sync::Parker`]/[`sync::Unparker`] pair for blocking idle workers. This
-//! shim reproduces those APIs; the queues keep crossbeam's ordering
-//! semantics over a `Mutex<VecDeque>`, correct under arbitrary
-//! interleavings and fast enough for test-scale workloads. Swap the
-//! workspace path dependency for crates.io `crossbeam = "0.8"` to get the
-//! lock-free versions unchanged.
-
-pub mod utils {
-    //! Subset of `crossbeam-utils`: the [`Backoff`] spin helper.
-
-    use std::cell::Cell;
-
-    /// Exponential backoff for spin loops, mirroring
-    /// `crossbeam_utils::Backoff`.
-    ///
-    /// Early steps issue a growing number of `spin_loop` hints (cheap,
-    /// keeps the core), later steps [`std::thread::yield_now`] (gives the
-    /// core away). Once [`Backoff::is_completed`] turns true the caller is
-    /// expected to stop spinning and block/sleep — busy waiting past that
-    /// point is what burned a full core per idle engine worker before the
-    /// backoff was introduced.
-    pub struct Backoff {
-        step: Cell<u32>,
-    }
-
-    const SPIN_LIMIT: u32 = 6;
-    const YIELD_LIMIT: u32 = 10;
-
-    impl Backoff {
-        /// A fresh backoff at step 0.
-        pub fn new() -> Self {
-            Backoff { step: Cell::new(0) }
-        }
-
-        /// Resets to step 0 (call after useful work was found).
-        pub fn reset(&self) {
-            self.step.set(0);
-        }
-
-        /// Backs off in a lock-free-retry loop: spin hints only, capped at
-        /// `2^SPIN_LIMIT` per call.
-        pub fn spin(&self) {
-            let step = self.step.get().min(SPIN_LIMIT);
-            for _ in 0..1u32 << step {
-                std::hint::spin_loop();
-            }
-            if self.step.get() <= SPIN_LIMIT {
-                self.step.set(self.step.get() + 1);
-            }
-        }
-
-        /// Backs off in a wait loop: spin hints first, then yields the
-        /// thread to the OS scheduler.
-        pub fn snooze(&self) {
-            let step = self.step.get();
-            if step <= SPIN_LIMIT {
-                for _ in 0..1u32 << step {
-                    std::hint::spin_loop();
-                }
-            } else {
-                std::thread::yield_now();
-            }
-            if step <= YIELD_LIMIT {
-                self.step.set(step + 1);
-            }
-        }
-
-        /// True once backing off any further is pointless and the caller
-        /// should park, sleep, or otherwise block.
-        pub fn is_completed(&self) -> bool {
-            self.step.get() > YIELD_LIMIT
-        }
-    }
-
-    impl Default for Backoff {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn escalates_to_completion() {
-            let b = Backoff::new();
-            assert!(!b.is_completed());
-            for _ in 0..=YIELD_LIMIT {
-                b.snooze();
-            }
-            assert!(b.is_completed());
-            b.reset();
-            assert!(!b.is_completed());
-        }
-
-        #[test]
-        fn spin_saturates_below_completion() {
-            let b = Backoff::new();
-            for _ in 0..100 {
-                b.spin();
-            }
-            // spin() alone never reaches the completed state.
-            assert!(!b.is_completed());
-        }
-    }
-}
+//! and the token-based [`sync::Parker`]/[`sync::Unparker`] pair for
+//! blocking idle workers. This shim reproduces those APIs; the queues keep
+//! crossbeam's ordering semantics over a `Mutex<VecDeque>`, correct under
+//! arbitrary interleavings and fast enough for test-scale workloads. Swap
+//! the workspace path dependency for crates.io `crossbeam = "0.8"` to get
+//! the lock-free versions unchanged.
 
 pub mod sync {
     //! Subset of `crossbeam-utils::sync`: the token-based thread parker.

@@ -135,7 +135,7 @@ fn differential_planted_battery() {
 
 #[test]
 fn differential_battery_is_at_least_twenty_instances() {
-    // The acceptance criterion of the suite: >= 20 independently generated
+    // The acceptance bar of the suite: >= 20 independently generated
     // instances flow through the full ours-vs-naive-vs-ListPlex-vs-FP
     // comparison.
     let total = gnp_instances().len() + planted_instances().len();

@@ -4,19 +4,30 @@
 use kplex_baselines::{fp_config, listplex_config};
 use kplex_core::{enumerate_collect, AlgoConfig, CollectSink, Params};
 use kplex_graph::gen;
-use kplex_parallel::{par_enumerate_collect, par_enumerate_count, EngineOptions};
+use kplex_parallel::{par_enumerate_collect, par_enumerate_count, EngineOptions, SchedMetrics};
+use std::sync::Arc;
 use std::time::Duration;
 
+/// Every thread count yields the serial result set, and once a run
+/// returns, every park has been matched by an unpark: no worker sleeps
+/// past termination.
 #[test]
 fn thread_counts_all_agree() {
     let g = gen::powerlaw_cluster(300, 6, 0.6, 21);
     let params = Params::new(2, 7).unwrap();
     let cfg = AlgoConfig::ours();
     let (reference, _) = enumerate_collect(&g, params, &cfg);
-    for threads in [1usize, 2, 3, 4, 7] {
-        let opts = EngineOptions::with_threads(threads);
+    let metrics = Arc::new(SchedMetrics::default());
+    for threads in [1usize, 2, 3, 4, 7, 8] {
+        let mut opts = EngineOptions::with_threads(threads);
+        opts.metrics = Some(Arc::clone(&metrics));
         let (got, _) = par_enumerate_collect(&g, params, &cfg, &opts);
         assert_eq!(got, reference, "diverged at {threads} threads");
+        assert_eq!(
+            metrics.parks(),
+            metrics.unparks(),
+            "a worker was still parked after the {threads}-thread run"
+        );
     }
 }
 
