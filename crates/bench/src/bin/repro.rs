@@ -9,12 +9,11 @@
 //! datasets (`kplex-datasets`); what is compared against the paper is the
 //! *shape*: who wins, by what factor, and where the crossovers fall.
 
-use kplex_baselines::Algorithm;
 use kplex_bench::experiments::{self, SeqSetting, Sweep};
 use kplex_bench::peak_alloc::PeakAlloc;
 use kplex_bench::report::{fmt_mib, fmt_ratio, fmt_secs, publish, Table};
 use kplex_bench::{load, time_algorithm};
-use kplex_core::Params;
+use kplex_core::{Algorithm, Params};
 use kplex_graph::GraphStore;
 use kplex_parallel::{par_enumerate_count, EngineOptions};
 use std::time::{Duration, Instant};
@@ -329,16 +328,11 @@ fn run_parallel(
     timeout: Option<Duration>,
 ) -> (f64, u64) {
     let params = Params::new(k, q).expect("valid parameters");
-    let mut opts = EngineOptions::with_threads(nthreads);
-    opts.timeout = timeout;
-    if algo == Algorithm::Fp {
-        // The paper notes parallel FP builds all subgraphs serially.
-        opts.serial_construction = true;
-        opts.single_task_per_seed = true;
-        opts.timeout = None;
-    } else if algo == Algorithm::ListPlex {
-        opts.timeout = None; // no straggler elimination in ListPlex
+    let opts = EngineOptions {
+        timeout,
+        ..EngineOptions::with_threads(nthreads)
     }
+    .for_algorithm(algo);
     let start = Instant::now();
     let (count, _) = par_enumerate_count(g, params, &algo.config(), &opts);
     (start.elapsed().as_secs_f64(), count)

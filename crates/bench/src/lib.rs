@@ -16,8 +16,7 @@ pub mod experiments;
 pub mod peak_alloc;
 pub mod report;
 
-use kplex_baselines::Algorithm;
-use kplex_core::Params;
+use kplex_core::{Algorithm, Params};
 use kplex_graph::CsrGraph;
 use std::time::Instant;
 

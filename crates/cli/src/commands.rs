@@ -1,8 +1,7 @@
 //! CLI subcommands.
 
 use crate::args::Args;
-use kplex_baselines::Algorithm;
-use kplex_core::{CountSink, FnSink, Params, SinkFlow};
+use kplex_core::{Algorithm, CountSink, FnSink, Params, SinkFlow};
 use kplex_datasets::all_datasets;
 use kplex_graph::{io, CsrGraph, GraphStats};
 use kplex_parallel::{par_enumerate_count, EngineOptions};
@@ -199,15 +198,11 @@ fn cmd_enumerate(args: &Args) -> Result<(), CliError> {
                 "parallel mode currently supports --count-only output",
             ));
         }
-        let mut opts = EngineOptions::with_threads(threads);
-        opts.timeout = (timeout_us > 0).then(|| std::time::Duration::from_micros(timeout_us));
-        if algo == Algorithm::Fp {
-            opts.serial_construction = true;
-            opts.single_task_per_seed = true;
-            opts.timeout = None;
-        } else if algo == Algorithm::ListPlex {
-            opts.timeout = None;
+        let opts = EngineOptions {
+            timeout: (timeout_us > 0).then(|| std::time::Duration::from_micros(timeout_us)),
+            ..EngineOptions::with_threads(threads)
         }
+        .for_algorithm(algo);
         let (count, stats) = par_enumerate_count(&g, params, &algo.config(), &opts);
         println!("{count}");
         eprintln!(

@@ -1,11 +1,13 @@
-//! A uniform handle over every algorithm in the paper's evaluation, used by
-//! the CLI and the benchmark harness.
+//! A uniform handle over every algorithm in the paper's evaluation, and the
+//! one table of their names: the CLI's `--algo`, the server's `SUBMIT
+//! algo=` and journal replay all resolve names through [`Algorithm::parse`].
 
-use crate::{
-    d2k_config, enumerate_d2k, enumerate_fp, enumerate_listplex, fp_config, listplex_config,
-};
-use kplex_core::{enumerate, AlgoConfig, CollectSink, CountSink, Params, PlexSink, SearchStats};
-use kplex_graph::{CsrGraph, VertexId};
+use crate::config::{AlgoConfig, Params};
+use crate::enumerate::enumerate;
+use crate::sink::{CollectSink, CountSink, PlexSink};
+use crate::stats::SearchStats;
+use crate::{d2k_config, fp_config, listplex_config};
+use kplex_graph::{GraphStore, VertexId};
 
 /// Every named algorithm of Section 7.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,7 +74,9 @@ impl Algorithm {
         }
     }
 
-    /// Parses the CLI spelling (case-insensitive; `\` and `-` both accepted).
+    /// Parses an algorithm name: the display name or a spelling with `-`
+    /// for `\` (case-insensitive). The pivot ablations also answer to
+    /// `ours-mindeg` and `ours-firstpivot`.
     pub fn parse(s: &str) -> Option<Algorithm> {
         match s.to_ascii_lowercase().replace('\\', "-").as_str() {
             "ours" => Some(Algorithm::Ours),
@@ -85,14 +89,13 @@ impl Algorithm {
             "listplex" => Some(Algorithm::ListPlex),
             "fp" => Some(Algorithm::Fp),
             "d2k" => Some(Algorithm::D2k),
-            "ours-satpivot" => Some(Algorithm::OursMinDegPivot),
-            "ours-pivot" => Some(Algorithm::OursFirstPivot),
+            "ours-satpivot" | "ours-mindeg" => Some(Algorithm::OursMinDegPivot),
+            "ours-pivot" | "ours-firstpivot" => Some(Algorithm::OursFirstPivot),
             _ => None,
         }
     }
 
-    /// The engine configuration (FP also changes the task layout, handled by
-    /// [`Algorithm::run`]).
+    /// The engine configuration, task layout included.
     pub fn config(self) -> AlgoConfig {
         match self {
             Algorithm::Ours => AlgoConfig::ours(),
@@ -111,24 +114,28 @@ impl Algorithm {
     }
 
     /// Runs the algorithm, streaming results into `sink`.
-    pub fn run(self, g: &CsrGraph, params: Params, sink: &mut dyn PlexSink) -> SearchStats {
-        match self {
-            Algorithm::Fp => enumerate_fp(g, params, sink),
-            Algorithm::D2k => enumerate_d2k(g, params, sink),
-            Algorithm::ListPlex => enumerate_listplex(g, params, sink),
-            other => enumerate(g, params, &other.config(), sink),
-        }
+    pub fn run<G: GraphStore + ?Sized>(
+        self,
+        g: &G,
+        params: Params,
+        sink: &mut dyn PlexSink,
+    ) -> SearchStats {
+        enumerate(g, params, &self.config(), sink)
     }
 
     /// Runs and counts results.
-    pub fn run_count(self, g: &CsrGraph, params: Params) -> (u64, SearchStats) {
+    pub fn run_count<G: GraphStore + ?Sized>(self, g: &G, params: Params) -> (u64, SearchStats) {
         let mut sink = CountSink::default();
         let stats = self.run(g, params, &mut sink);
         (sink.count, stats)
     }
 
     /// Runs and collects results in canonical order.
-    pub fn run_collect(self, g: &CsrGraph, params: Params) -> (Vec<Vec<VertexId>>, SearchStats) {
+    pub fn run_collect<G: GraphStore + ?Sized>(
+        self,
+        g: &G,
+        params: Params,
+    ) -> (Vec<Vec<VertexId>>, SearchStats) {
         let mut sink = CollectSink::default();
         let stats = self.run(g, params, &mut sink);
         (sink.into_sorted(), stats)
@@ -154,6 +161,42 @@ mod tests {
         }
         assert_eq!(Algorithm::parse("fp"), Some(Algorithm::Fp));
         assert_eq!(Algorithm::parse("nope"), None);
+    }
+
+    #[test]
+    fn every_spelling_of_both_former_tables_resolves() {
+        // The CLI's `--algo`, the server's `algo=` and journal replay all
+        // resolve names here, so every spelling any of them has accepted
+        // must keep its configuration: a journaled `algo=ours-mindeg` must
+        // still replay.
+        let spellings = [
+            ("ours", AlgoConfig::ours()),
+            ("OURS", AlgoConfig::ours()),
+            ("ours_p", AlgoConfig::ours_p()),
+            ("ours-p", AlgoConfig::ours_p()),
+            ("ours-ub", AlgoConfig::ours_no_ub()),
+            ("ours\\ub", AlgoConfig::ours_no_ub()),
+            ("ours-ub+fp", AlgoConfig::ours_fp_ub()),
+            ("ours\\ub+fp", AlgoConfig::ours_fp_ub()),
+            ("basic", AlgoConfig::basic()),
+            ("basic+r1", AlgoConfig::basic_r1()),
+            ("basic+r2", AlgoConfig::basic_r2()),
+            ("ours-mindeg", AlgoConfig::ours_min_degree_pivot()),
+            ("ours-satpivot", AlgoConfig::ours_min_degree_pivot()),
+            ("ours-firstpivot", AlgoConfig::ours_first_pivot()),
+            ("ours-pivot", AlgoConfig::ours_first_pivot()),
+            ("listplex", listplex_config()),
+            ("fp", fp_config()),
+            ("d2k", d2k_config()),
+        ];
+        for (name, cfg) in spellings {
+            assert_eq!(
+                Algorithm::parse(name).map(Algorithm::config),
+                Some(cfg.clone()),
+                "{name}"
+            );
+            assert_eq!(AlgoConfig::by_name(name), Some(cfg), "{name}");
+        }
     }
 
     #[test]

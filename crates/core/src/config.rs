@@ -1,10 +1,12 @@
 //! Problem parameters and algorithm configuration.
 //!
 //! Every named variant in the paper's evaluation (`Ours`, `Ours_P`,
-//! `Ours\ub`, `Ours\ub+fp`, `Basic`, `Basic+R1`, `Basic+R2`) is a different
-//! [`AlgoConfig`] over the same search engine, which is what makes the
-//! ablation studies of Tables 5 and 6 exact apples-to-apples comparisons.
+//! `Ours\ub`, `Ours\ub+fp`, `Basic`, `Basic+R1`, `Basic+R2`, and the
+//! FP, ListPlex and D2K baselines) is a different [`AlgoConfig`] over the
+//! same search engine, which is what makes the comparisons of Tables 3, 5
+//! and 6 exact apples-to-apples comparisons.
 
+use crate::algorithms::Algorithm;
 use std::fmt;
 
 /// The problem instance parameters of Definition 3.4: enumerate all maximal
@@ -100,6 +102,18 @@ pub enum BranchingKind {
     MultiWay,
 }
 
+/// How a seed subgraph is split into initial tasks (Algorithm 2 line 7).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum TaskLayout {
+    /// Disjoint sub-tasks over subsets `S` of the seed's two-hop vertices,
+    /// pruned by R1 when enabled — ListPlex's partition and the paper's.
+    #[default]
+    SubTasks,
+    /// One task per seed whose candidates are the whole later two-hop ball
+    /// — the layout of FP and D2K.
+    WholeSeed,
+}
+
 /// Full algorithm configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AlgoConfig {
@@ -118,6 +132,8 @@ pub struct AlgoConfig {
     pub seed_prune_rounds: usize,
     /// Also prune outside exclusive-set vertices with Theorem 5.1 thresholds.
     pub prune_xout: bool,
+    /// How each seed subgraph is split into initial tasks.
+    pub task_layout: TaskLayout,
 }
 
 impl Default for AlgoConfig {
@@ -137,6 +153,7 @@ impl AlgoConfig {
             branching: BranchingKind::RepickPivot,
             seed_prune_rounds: usize::MAX,
             prune_xout: true,
+            task_layout: TaskLayout::SubTasks,
         }
     }
 
@@ -208,22 +225,10 @@ impl AlgoConfig {
         }
     }
 
-    /// Returns the named preset, if it exists. Accepts the paper's names
-    /// (case-insensitive): `ours`, `ours_p`, `ours-ub`, `ours-ub+fp`,
-    /// `basic`, `basic+r1`, `basic+r2`.
+    /// Returns the named preset, if it exists: any spelling
+    /// [`Algorithm::parse`] accepts.
     pub fn by_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "ours" => Some(Self::ours()),
-            "ours_p" | "ours-p" => Some(Self::ours_p()),
-            "ours-ub" | "ours\\ub" => Some(Self::ours_no_ub()),
-            "ours-ub+fp" | "ours\\ub+fp" => Some(Self::ours_fp_ub()),
-            "basic" => Some(Self::basic()),
-            "basic+r1" => Some(Self::basic_r1()),
-            "basic+r2" => Some(Self::basic_r2()),
-            "ours-mindeg" => Some(Self::ours_min_degree_pivot()),
-            "ours-firstpivot" => Some(Self::ours_first_pivot()),
-            _ => None,
-        }
+        Algorithm::parse(name).map(Algorithm::config)
     }
 }
 

@@ -8,11 +8,11 @@
 //! upper-bound pruning, and no vertex-pair rules. Like FP — and unlike
 //! ListPlex — it does not split seeds into `S`-sub-tasks.
 
-use crate::fp::enumerate_whole_seed;
-use kplex_core::{
-    AlgoConfig, BranchingKind, Params, PivotKind, PlexSink, SearchStats, UpperBoundKind,
-};
-use kplex_graph::CsrGraph;
+use crate::config::{AlgoConfig, BranchingKind, Params, PivotKind, TaskLayout, UpperBoundKind};
+use crate::enumerate::enumerate;
+use crate::sink::PlexSink;
+use crate::stats::SearchStats;
+use kplex_graph::GraphStore;
 
 /// The engine configuration that realises D2K.
 pub fn d2k_config() -> AlgoConfig {
@@ -25,18 +25,23 @@ pub fn d2k_config() -> AlgoConfig {
         // D2K prunes candidates by the common-neighbour rule once.
         seed_prune_rounds: 1,
         prune_xout: true,
+        task_layout: TaskLayout::WholeSeed,
     }
 }
 
 /// Enumerates all maximal k-plexes with `|P| >= q` using D2K.
-pub fn enumerate_d2k(g: &CsrGraph, params: Params, sink: &mut dyn PlexSink) -> SearchStats {
-    enumerate_whole_seed(g, params, &d2k_config(), sink)
+pub fn enumerate_d2k<G: GraphStore + ?Sized>(
+    g: &G,
+    params: Params,
+    sink: &mut dyn PlexSink,
+) -> SearchStats {
+    enumerate(g, params, &d2k_config(), sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplex_core::{naive, CollectSink};
+    use crate::{naive, CollectSink};
     use kplex_graph::gen;
 
     #[test]
@@ -61,7 +66,7 @@ mod tests {
         // Simple pivoting explores at least as many branches.
         let g = gen::powerlaw_cluster(120, 5, 0.7, 9);
         let params = Params::new(2, 5).unwrap();
-        let (ours, s_ours) = kplex_core::enumerate_collect(&g, params, &AlgoConfig::ours());
+        let (ours, s_ours) = crate::enumerate_collect(&g, params, &AlgoConfig::ours());
         let mut sink = CollectSink::default();
         let s_d2k = enumerate_d2k(&g, params, &mut sink);
         assert_eq!(sink.into_sorted(), ours);

@@ -1,22 +1,20 @@
 //! Top-level sequential driver (Algorithm 2).
 //!
 //! `enumerate` wires the full pipeline together: shrink the input to its
-//! (q−k)-core (Theorem 3.5), compute the degeneracy ordering, build one seed
-//! subgraph per seed vertex, split it into initial sub-tasks, and run the
-//! branch-and-bound searcher on each. The [`prepare`]/[`run_seed`] pieces are
-//! public so the parallel runtime (crate `kplex-parallel`) and the baselines
-//! can reuse them.
+//! (q−k)-core (Theorem 3.5), compute the degeneracy ordering, then run the
+//! seed loop ([`crate::driver`]) on the caller's thread: build one seed
+//! subgraph per seed vertex, split it into initial tasks, and run the
+//! branch-and-bound searcher on each. [`prepare`] is public so the parallel
+//! runtime (crate `kplex-parallel`) and long-lived callers can reuse it.
 
-use crate::branch::Searcher;
 use crate::config::{AlgoConfig, Params};
-use crate::pairs::PairMatrix;
-use crate::seed::{SeedBuilder, SeedGraph};
+use crate::driver::Driver;
 use crate::sink::{CollectSink, CountSink, PlexSink, SinkFlow};
 use crate::stats::SearchStats;
-use crate::subtask::collect_subtasks;
 use kplex_graph::{
     core_decomposition, kcore_backend, CoreDecomposition, GraphStore, StoreBackend, VertexId,
 };
+use std::sync::Arc;
 
 /// The preprocessed problem: core-reduced graph plus its degeneracy ordering.
 #[derive(Clone, Debug)]
@@ -71,61 +69,24 @@ impl PlexSink for MapSink<'_> {
     }
 }
 
-/// Runs every sub-task of one seed graph sequentially. Returns `Stop` if the
-/// sink aborted the enumeration.
-pub fn run_seed(
-    seed: &SeedGraph,
-    params: Params,
-    cfg: &AlgoConfig,
-    sink: &mut dyn PlexSink,
-    stats: &mut SearchStats,
-) -> SinkFlow {
-    stats.seed_graphs += 1;
-    stats.seed_pruned_vertices += seed.pruned_vertices;
-    let pairs = cfg.use_r2.then(|| PairMatrix::build(seed, params));
-    let tasks = collect_subtasks(seed, params, cfg, pairs.as_ref(), stats);
-    let mut searcher = Searcher::new(seed, params, cfg, pairs.as_ref());
-    let mut flow = SinkFlow::Continue;
-    for t in tasks {
-        flow = searcher.run_task(t.p(), t.c(), t.x(), sink);
-        if flow == SinkFlow::Stop {
-            break;
-        }
-    }
-    stats.merge(&searcher.stats);
-    flow
-}
-
 /// Enumerates all maximal k-plexes of `g` with at least `q` vertices,
-/// streaming them into `sink`. Returns the search statistics. Works over any
-/// [`GraphStore`] backend.
+/// streaming them into `sink` from the caller's thread. Returns the search
+/// statistics. Works over any [`GraphStore`] backend.
 ///
-/// Seeds are walked in degeneracy order, last first, the order the
-/// parallel engine's workers pull them in: the dense core, where large
-/// plexes sit, comes first, so the first result does not wait for every
-/// sparse seed, and a 1-thread engine run emits the same sequence.
+/// Seeds are walked in degeneracy order, last first (see
+/// [`crate::driver`]): the dense core, where large plexes sit, comes first,
+/// so the first result does not wait for every sparse seed. A 1-thread
+/// engine run is this same loop and emits the same sequence.
 pub fn enumerate<G: GraphStore + ?Sized>(
     g: &G,
     params: Params,
     cfg: &AlgoConfig,
     sink: &mut dyn PlexSink,
 ) -> SearchStats {
-    let mut stats = SearchStats::default();
     let prep = prepare(g, params);
-    let n = prep.graph.num_vertices();
-    if n < params.q {
-        return stats;
-    }
-    let mut builder = SeedBuilder::new(n);
-    let mut msink = MapSink::new(sink, &prep.map);
-    for &sv in prep.decomp.order.iter().rev() {
-        let Some(seed) = builder.build(&prep.graph, &prep.decomp, sv, params, cfg) else {
-            continue;
-        };
-        if run_seed(&seed, params, cfg, &mut msink, &mut stats) == SinkFlow::Stop {
-            break;
-        }
-    }
+    let mut stats = SearchStats::default();
+    let driver = Driver::new(&prep, params, cfg, None, Arc::default());
+    driver.run_local(Vec::new(), sink, &mut stats);
     stats
 }
 

@@ -6,17 +6,18 @@
 //! branch-and-bound task whose candidate set contains the full later
 //! two-hop ball. Pruning relies on an upper bound computed with a sorting
 //! pass per recursion ([\[16\], Lemma 5](https://arxiv.org/abs/2203.10760);
-//! `UpperBoundKind::FpSorting` in the engine). FP performs weaker subgraph reduction, which is also why its
-//! memory footprint is larger (Table 7 of the paper).
+//! `UpperBoundKind::FpSorting` in the engine). FP performs weaker subgraph
+//! reduction, which is also why its memory footprint is larger (Table 7 of
+//! the paper). Its whole-seed tasks are [`TaskLayout::WholeSeed`], so FP is
+//! the configuration below, run by the same seed loop as every algorithm.
 
-use kplex_core::enumerate::{prepare, MapSink};
-use kplex_core::{
-    AlgoConfig, BranchingKind, Params, PivotKind, PlexSink, SearchStats, Searcher, SeedBuilder,
-    SinkFlow, UpperBoundKind, XOUT_FLAG,
-};
-use kplex_graph::{CsrGraph, GraphStore};
+use crate::config::{AlgoConfig, BranchingKind, Params, PivotKind, TaskLayout, UpperBoundKind};
+use crate::enumerate::enumerate;
+use crate::sink::PlexSink;
+use crate::stats::SearchStats;
+use kplex_graph::GraphStore;
 
-/// The engine configuration that realises FP's per-branch behaviour.
+/// The engine configuration that realises FP.
 pub fn fp_config() -> AlgoConfig {
     AlgoConfig {
         pivot: PivotKind::MinDegree,
@@ -30,55 +31,24 @@ pub fn fp_config() -> AlgoConfig {
         // its memory footprint is larger (Table 7).
         seed_prune_rounds: 1,
         prune_xout: false,
+        task_layout: TaskLayout::WholeSeed,
     }
 }
 
 /// Enumerates all maximal k-plexes with `|P| >= q` using FP: one task per
 /// seed vertex, candidates = the entire later two-hop ball.
-pub fn enumerate_fp(g: &CsrGraph, params: Params, sink: &mut dyn PlexSink) -> SearchStats {
-    enumerate_whole_seed(g, params, &fp_config(), sink)
-}
-
-/// Shared "one task per seed" driver used by the FP and D2K baselines
-/// (candidate set = the full later two-hop ball, no S-sub-tasks).
-pub fn enumerate_whole_seed(
-    g: &CsrGraph,
+pub fn enumerate_fp<G: GraphStore + ?Sized>(
+    g: &G,
     params: Params,
-    cfg: &AlgoConfig,
     sink: &mut dyn PlexSink,
 ) -> SearchStats {
-    let mut stats = SearchStats::default();
-    let prep = prepare(g, params);
-    let n = prep.graph.num_vertices();
-    if n < params.q {
-        return stats;
-    }
-    let mut builder = SeedBuilder::new(n);
-    let mut msink = MapSink::new(sink, &prep.map);
-    for &sv in &prep.decomp.order {
-        let Some(seed) = builder.build(&prep.graph, &prep.decomp, sv, params, cfg) else {
-            continue;
-        };
-        stats.seed_graphs += 1;
-        stats.subtasks += 1;
-        let mut searcher = Searcher::new(&seed, params, cfg, None);
-        // Single task: P = {seed}, C = every other local vertex, X = the
-        // outside witnesses.
-        let c: Vec<u32> = (1..seed.len() as u32).collect();
-        let x: Vec<u32> = (0..seed.xout.len() as u32).map(|i| i | XOUT_FLAG).collect();
-        let flow = searcher.run_task(&[0], &c, &x, &mut msink);
-        stats.merge(&searcher.stats);
-        if flow == SinkFlow::Stop {
-            break;
-        }
-    }
-    stats
+    enumerate(g, params, &fp_config(), sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplex_core::{naive, CollectSink};
+    use crate::{naive, CollectSink};
     use kplex_graph::gen;
 
     #[test]
@@ -102,7 +72,7 @@ mod tests {
     fn fp_matches_ours_on_larger_graphs() {
         let g = gen::powerlaw_cluster(150, 5, 0.7, 4);
         let params = Params::new(2, 5).unwrap();
-        let (ours, _) = kplex_core::enumerate_collect(&g, params, &AlgoConfig::ours());
+        let (ours, _) = crate::enumerate_collect(&g, params, &AlgoConfig::ours());
         let mut sink = CollectSink::default();
         let stats = enumerate_fp(&g, params, &mut sink);
         assert_eq!(sink.into_sorted(), ours);

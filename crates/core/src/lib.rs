@@ -14,6 +14,10 @@
 //! 4. run the branch-and-bound [`branch::Searcher`] on every sub-task
 //!    (Algorithm 3, upper bounds of Theorems 5.3/5.5, pair rule 5.15).
 //!
+//! Steps 2–4 are one loop, [`driver::Driver`]: [`enumerate::enumerate`]
+//! runs it on the caller's thread, and every worker of the parallel engine
+//! (crate `kplex-parallel`) runs it over its scheduler handle.
+//!
 //! Entry points: [`enumerate::enumerate`], [`enumerate::enumerate_count`],
 //! [`enumerate::enumerate_collect`].
 //!
@@ -28,14 +32,38 @@
 //! assert_eq!(count, 1);
 //! assert_eq!(stats.outputs, 1);
 //! ```
+//!
+//! The baselines the paper compares against — ListPlex
+//! [\[39\]](https://arxiv.org/abs/2202.08737), FP
+//! [\[16\]](https://arxiv.org/abs/2203.10760) and D2K — are configurations of
+//! the same engine ([`listplex`], [`fp`], [`d2k`]), and [`Algorithm`] names
+//! every variant of the evaluation:
+//!
+//! ```
+//! use kplex_core::{Algorithm, Params};
+//! use kplex_graph::gen;
+//!
+//! // Independent implementations must return identical sorted result sets.
+//! let g = gen::gnp(30, 0.3, 7);
+//! let params = Params::new(2, 4).unwrap();
+//! let (reference, _) = Algorithm::Ours.run_collect(&g, params);
+//! for baseline in [Algorithm::ListPlex, Algorithm::Fp] {
+//!     assert_eq!(baseline.run_collect(&g, params).0, reference);
+//! }
+//! ```
 
 #![deny(missing_docs)]
 
+pub mod algorithms;
 pub mod bounds;
 pub mod branch;
 pub mod branch_ref;
 pub mod config;
+pub mod d2k;
+pub mod driver;
 pub mod enumerate;
+pub mod fp;
+pub mod listplex;
 pub mod maximum;
 pub mod naive;
 pub mod pairs;
@@ -47,10 +75,17 @@ pub mod stats;
 pub mod subtask;
 pub mod verify;
 
+pub use algorithms::Algorithm;
 pub use branch::{SavedTask, Searcher};
 pub use branch_ref::RefSearcher;
-pub use config::{AlgoConfig, BranchingKind, ParamError, Params, PivotKind, UpperBoundKind};
+pub use config::{
+    AlgoConfig, BranchingKind, ParamError, Params, PivotKind, TaskLayout, UpperBoundKind,
+};
+pub use d2k::{d2k_config, enumerate_d2k};
+pub use driver::{Driver, Task, TaskQueue};
 pub use enumerate::{enumerate, enumerate_collect, enumerate_count, prepare, MapSink, Prepared};
+pub use fp::{enumerate_fp, fp_config};
+pub use listplex::{enumerate_listplex, listplex_config};
 pub use maximum::{maximum_kplex, MaximumResult};
 pub use pairs::PairMatrix;
 pub use reduce::{ctcp_reduce, CtcpReduction};

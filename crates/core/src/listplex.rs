@@ -6,14 +6,15 @@
 //! `S` of the seed's two-hop vertices), but pairs it with FaPlexen's pivoting
 //! and multi-way branching (Eq (4)–(6) of the paper), and uses **no**
 //! upper-bound pruning and **no** vertex-pair rules. In this repository all
-//! of those mechanisms live in one engine (`kplex-core`), so ListPlex is the
+//! of those mechanisms live in one engine (this crate), so ListPlex is the
 //! exact engine configuration below — which is also what makes the paper's
 //! Table 3 comparison an apples-to-apples measurement of the mechanisms.
 
-use kplex_core::{
-    enumerate, AlgoConfig, BranchingKind, Params, PivotKind, PlexSink, SearchStats, UpperBoundKind,
-};
-use kplex_graph::CsrGraph;
+use crate::config::{AlgoConfig, BranchingKind, Params, PivotKind, TaskLayout, UpperBoundKind};
+use crate::enumerate::enumerate;
+use crate::sink::PlexSink;
+use crate::stats::SearchStats;
+use kplex_graph::GraphStore;
 
 /// The engine configuration that realises ListPlex.
 pub fn listplex_config() -> AlgoConfig {
@@ -27,18 +28,23 @@ pub fn listplex_config() -> AlgoConfig {
         // (common-neighbour) rules; that machinery predates this paper.
         seed_prune_rounds: usize::MAX,
         prune_xout: true,
+        task_layout: TaskLayout::SubTasks,
     }
 }
 
 /// Enumerates all maximal k-plexes with `|P| >= q` using ListPlex.
-pub fn enumerate_listplex(g: &CsrGraph, params: Params, sink: &mut dyn PlexSink) -> SearchStats {
+pub fn enumerate_listplex<G: GraphStore + ?Sized>(
+    g: &G,
+    params: Params,
+    sink: &mut dyn PlexSink,
+) -> SearchStats {
     enumerate(g, params, &listplex_config(), sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplex_core::{naive, CollectSink};
+    use crate::{naive, CollectSink};
     use kplex_graph::gen;
 
     #[test]
@@ -64,7 +70,7 @@ mod tests {
         // much branching as the optimised algorithm.
         let g = gen::powerlaw_cluster(200, 5, 0.7, 11);
         let params = Params::new(3, 6).unwrap();
-        let (ours, s_ours) = kplex_core::enumerate_collect(&g, params, &AlgoConfig::ours());
+        let (ours, s_ours) = crate::enumerate_collect(&g, params, &AlgoConfig::ours());
         let mut sink = CollectSink::default();
         let s_lp = enumerate_listplex(&g, params, &mut sink);
         assert_eq!(sink.into_sorted(), ours);

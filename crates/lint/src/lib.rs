@@ -20,7 +20,7 @@
 //! | `unwrap-allowlist` | non-test `.unwrap()` in `crates/service/src` only at explicitly allowlisted sites — everything else uses the [`OrderedMutex`] poisoning policy or propagates errors |
 //! | `store-abstraction` | no literal `CsrGraph` in non-test code of `crates/core/src` — the enumeration kernel speaks the `GraphStore` trait, so every backend (CSR, compressed, mmap) stays first-class |
 //! | `tenant-scoped` | in `crates/service/src/server.rs`, the shared jobs map is only locked inside the principal-scoped accessors (`job_for`/`jobs_for`), their documented runner-side escape hatch (`job_unscoped`), or at sites carrying a `// tenant:` justification — so a new handler cannot quietly serve one tenant's jobs to another |
-//! | `engine-no-sleep` | no `thread::sleep` in non-test code of `crates/parallel/src` — the engine idles workers by park/unpark with an explicit wakeup protocol, and a sleep call quietly reintroduces the timed-polling latency (and the lost-wakeup masking) the scheduler rewrite removed |
+//! | `engine-no-sleep` | no `thread::sleep` in non-test code of `crates/parallel/src` or of the seed loop every engine worker runs (`crates/core/src/driver.rs`) — the engine idles workers by park/unpark with an explicit wakeup protocol, and a sleep call quietly reintroduces the timed-polling latency (and the lost-wakeup masking) the scheduler rewrite removed |
 //!
 //! Run it with `cargo run -p kplex-lint` (CI's `analyze` job does); it
 //! exits non-zero on any finding. The rules are exercised by fixture
@@ -649,9 +649,10 @@ pub fn check_store_abstraction(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-/// `engine-no-sleep`: non-test code in `crates/parallel/src` must not call
-/// `thread::sleep` (or any `sleep`-named function). The scheduler idles
-/// workers via park/unpark with an explicit push→wake protocol and a
+/// `engine-no-sleep`: non-test code in `crates/parallel/src` and in the
+/// seed loop the engine's workers run (`crates/core/src/driver.rs`) must
+/// not call `thread::sleep` (or any `sleep`-named function). The scheduler
+/// idles workers via park/unpark with an explicit push→wake protocol and a
 /// pending==0 termination handshake; a sleep call is timed polling sneaking
 /// back in — it re-adds a sleep-period latency cliff to wakeup and
 /// cancellation, and worse, it *masks* lost-wakeup bugs by bounding how
@@ -776,7 +777,7 @@ fn rust_files_under(root: &Path, dir: &str) -> io::Result<Vec<String>> {
 /// - `unwrap-allowlist`: `crates/service/src`;
 /// - the exhaustiveness rules: the protocol, journal, and proptest files;
 /// - `tenant-scoped`: `crates/service/src/server.rs`;
-/// - `engine-no-sleep`: `crates/parallel/src`.
+/// - `engine-no-sleep`: `crates/parallel/src` and `crates/core/src/driver.rs`.
 pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
 
@@ -797,9 +798,12 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         }
     }
 
+    // engine-no-sleep over the seed loop every engine worker runs.
+    let driver = scan(root, "crates/core/src/driver.rs")?;
+    findings.extend(check_engine_no_sleep(&driver));
+
     // ordering over the remaining first-party crates.
     for dir in [
-        "crates/baselines",
         "crates/bench",
         "crates/cli",
         "crates/core",

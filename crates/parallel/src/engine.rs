@@ -1,25 +1,27 @@
-//! The parallel engine: seeds pulled on demand by idle workers.
+//! The parallel engine: the seed loop of [`kplex_core::driver`] on every
+//! worker of a work-stealing scheduler.
 
-use crate::sched::{SchedConfig, SchedHook, SchedMetrics, Scheduler, WorkerHandle};
-use kplex_core::enumerate::{prepare, MapSink};
+use crate::sched::{SchedConfig, SchedHook, SchedMetrics, Scheduler};
+use kplex_core::enumerate::prepare;
 use kplex_core::{
-    collect_subtasks, AlgoConfig, CollectSink, CountSink, PairMatrix, Params, PlexSink, Prepared,
-    SavedTask, SearchStats, Searcher, SeedBuilder, SeedGraph, SinkFlow, XOUT_FLAG,
+    AlgoConfig, Algorithm, CollectSink, CountSink, Driver, Params, PlexSink, Prepared, SearchStats,
+    Task,
 };
 use kplex_graph::{GraphStore, VertexId};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Knobs of the parallel engine.
 #[derive(Clone)]
 pub struct EngineOptions {
-    /// Number of worker threads `M`.
+    /// Number of worker threads `M`. With one, the loop runs on the calling
+    /// thread with no scheduler, so `sched_hook` and `metrics` see nothing.
     pub threads: usize,
     /// Straggler timeout `τ_time`; tasks running longer re-queue their
     /// remaining branches. `None` disables splitting (ListPlex/FP style).
     /// Ignored with one worker: there is no peer to take split work, so a
-    /// split would only re-queue branches on the same deque and make the
+    /// split would only re-queue branches on the same queue and make the
     /// emission order depend on timing.
     pub timeout: Option<Duration>,
     /// Build every seed subgraph up-front on one thread before any task
@@ -27,17 +29,14 @@ pub struct EngineOptions {
     /// bottleneck. When false (default), an idle worker builds the next
     /// seed itself (see [`run_parallel_prepared`]).
     pub serial_construction: bool,
-    /// One task per seed with the full two-hop candidate set (FP's layout)
-    /// instead of S-sub-tasks.
-    pub single_task_per_seed: bool,
     /// Shared cooperative-cancellation flag. When raised (by any thread —
     /// a service cancelling a job, a deadline, a result cap), workers stop
-    /// mid-task: the flag is plumbed into every [`Searcher`] (polled inside
+    /// mid-task: the flag is plumbed into every searcher (polled inside
     /// the branch recursion and checked on every report) and consulted
     /// before each seed is built and before each dequeued task. The engine
     /// also raises it itself whenever any worker's sink returns
-    /// [`SinkFlow::Stop`], so an early-stopping sink halts *all* workers
-    /// promptly rather than one.
+    /// [`kplex_core::SinkFlow::Stop`], so an early-stopping sink halts *all*
+    /// workers promptly rather than one.
     pub stop_flag: Option<Arc<AtomicBool>>,
     /// Deterministic-scheduler test seam (see [`crate::sched::SchedHook`]);
     /// `None` in production.
@@ -56,11 +55,23 @@ impl EngineOptions {
             threads: t.max(1),
             timeout: Some(Duration::from_micros(100)),
             serial_construction: false,
-            single_task_per_seed: false,
             stop_flag: None,
             sched_hook: None,
             metrics: None,
         }
+    }
+
+    /// These options as the paper's parallel baselines run (Table 4): FP
+    /// builds every seed serially before any task runs, and FP and ListPlex
+    /// split no stragglers. Other algorithms keep the options as they are.
+    pub fn for_algorithm(mut self, algo: Algorithm) -> Self {
+        if algo == Algorithm::Fp {
+            self.serial_construction = true;
+        }
+        if matches!(algo, Algorithm::Fp | Algorithm::ListPlex) {
+            self.timeout = None;
+        }
+        self
     }
 }
 
@@ -70,29 +81,11 @@ impl std::fmt::Debug for EngineOptions {
             .field("threads", &self.threads)
             .field("timeout", &self.timeout)
             .field("serial_construction", &self.serial_construction)
-            .field("single_task_per_seed", &self.single_task_per_seed)
             .field("stop_flag", &self.stop_flag)
             .field("sched_hook", &self.sched_hook.as_ref().map(|_| ".."))
             .field("metrics", &self.metrics)
             .finish()
     }
-}
-
-/// One seed's shared state. Every task on the seed — its initial sub-tasks
-/// and their timeout-split children alike — holds an `Arc` of it, as does
-/// a worker's searcher while it runs them, so the slot is freed with the
-/// seed's last task.
-struct Slot {
-    seed: SeedGraph,
-    pairs: Option<PairMatrix>,
-}
-
-/// A unit of work: a branch ⟨P, C, X⟩ on a slot's seed subgraph. The
-/// snapshot is a single-buffer POD ([`SavedTask`]), so queueing, stealing
-/// and re-queueing a task moves one allocation, never three.
-struct Task {
-    slot: Arc<Slot>,
-    snap: SavedTask,
 }
 
 /// Counts maximal k-plexes in parallel. Returns the count and merged stats.
@@ -143,13 +136,12 @@ where
 /// per job; `prep` must have been built with the same `q − k` as `params`.
 ///
 /// Seeds are built on demand: a worker whose own deque runs dry takes the
-/// next vertex off a shared cursor, builds its seed and runs its sub-tasks
-/// (see `run_stage`), so the first result does not wait for the other
-/// seeds and only a few seeds are alive at once. The cursor walks the
-/// degeneracy order backwards: the densest seeds, where plexes of at least
-/// `q` vertices live, come first. [`EngineOptions::serial_construction`]
-/// instead builds every seed on the calling thread, in degeneracy order,
-/// before any task runs.
+/// next vertex off the driver's shared cursor, builds its seed and runs its
+/// tasks (see [`kplex_core::driver`]), so the first result does not wait
+/// for the other seeds and only a few seeds are alive at once.
+/// [`EngineOptions::serial_construction`] instead builds every seed on the
+/// calling thread, in degeneracy order, before any task runs. With one
+/// thread the loop runs on the calling thread.
 pub fn run_parallel_prepared<S, F>(
     prep: &Prepared,
     params: Params,
@@ -162,89 +154,54 @@ where
     F: Fn() -> S + Sync,
 {
     let m = opts.threads.max(1);
-    let stop = opts
-        .stop_flag
-        .clone()
-        .unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-    let n = prep.graph.num_vertices();
+    let stop = opts.stop_flag.clone().unwrap_or_default();
+    // With one worker a split would only re-queue branches on the same
+    // queue (see `EngineOptions::timeout`).
+    let budget = opts.timeout.filter(|_| m > 1);
+    let mut driver = Driver::new(prep, params, cfg, budget, stop);
     let mut total = SearchStats::default();
     let mut sinks: Vec<S> = (0..m).map(|_| make_sink()).collect();
-    if n < params.q {
-        return (sinks, total);
-    }
-    let mut stage = Stage {
-        prep,
-        seeds: &prep.decomp.order,
-        cursor: AtomicUsize::new(0),
-        params,
-        cfg,
-        opts,
-        stop,
+    let prebuilt = if opts.serial_construction {
+        driver.build_all(&mut total)
+    } else {
+        Vec::new()
     };
-    let mut injected = Vec::new();
-    if opts.serial_construction {
-        // FP-style: build every slot up front on this thread and inject its
-        // tasks; the workers then find no seed left to pull and only drain
-        // the injector.
-        let mut builder = SeedBuilder::new(n);
-        for &v in stage.seeds {
-            if stage.stop.load(Ordering::Acquire) {
-                break;
-            }
-            if let Some(slot) = stage.build_slot(&mut builder, v, &mut total) {
-                for snap in stage.initial_snaps(&slot, &mut total) {
-                    let slot = Arc::clone(&slot);
-                    injected.push(Task { slot, snap });
-                }
-            }
-        }
-        stage.seeds = &[];
+    if m == 1 {
+        driver.run_local(prebuilt, &mut sinks[0], &mut total);
+    } else {
+        total.merge(&run_stage(&driver, prebuilt, &mut sinks, opts));
     }
-    total.merge(&run_stage(&stage, injected, &mut sinks));
     (sinks, total)
 }
 
-/// What every worker of one run shares.
-struct Stage<'r> {
-    prep: &'r Prepared,
-    /// Seed vertices to build, handed out one at a time by `cursor`, last
-    /// first.
-    seeds: &'r [VertexId],
-    cursor: AtomicUsize,
-    params: Params,
-    cfg: &'r AlgoConfig,
-    opts: &'r EngineOptions,
-    stop: Arc<AtomicBool>,
-}
-
-/// Runs the enumeration on the work-stealing scheduler ([`crate::sched`]),
+/// Runs the driver's loop on the work-stealing scheduler ([`crate::sched`]),
 /// one worker per sink.
 ///
 /// A worker finds work in this order: its own deque (LIFO); then, while
-/// the shared cursor over `stage.seeds` has vertices left, the next vertex,
-/// whose seed it builds and whose sub-tasks it pushes onto its own deque;
-/// then the global injector and peer steals, parking while neither has
-/// work. Each worker holds a *construction token* in the scheduler's
-/// `pending` count until it finds the cursor exhausted (or the stop flag
-/// raised), so the run cannot terminate while a seed may still be built,
-/// and no worker parks while it could build one. Split children go to the
-/// injector only while some worker is parked, so the injector stays empty
-/// while the cursor is live and the pull may as well come before it.
-/// `injected` tasks (the pre-built seeds of
+/// the driver's seed cursor has vertices left, the next vertex, whose seed
+/// it builds and whose tasks it pushes onto its own deque; then the global
+/// injector and peer steals, parking while neither has work. Each worker
+/// holds a *construction token* in the scheduler's `pending` count until it
+/// finds the cursor exhausted (or the stop flag raised), so the run cannot
+/// terminate while a seed may still be built, and no worker parks while it
+/// could build one. Split children go to the injector only while some
+/// worker is parked, so the injector stays empty while the cursor is live
+/// and the pull may as well come before it. `prebuilt` tasks (the seeds of
 /// [`EngineOptions::serial_construction`]) start in the injector, where
 /// workers spread them via batched steals.
 fn run_stage<S: PlexSink + Send>(
-    stage: &Stage<'_>,
-    injected: Vec<Task>,
+    driver: &Driver<'_>,
+    prebuilt: Vec<Task>,
     sinks: &mut [S],
+    opts: &EngineOptions,
 ) -> SearchStats {
     let m = sinks.len();
     let (sched, ctxs) = Scheduler::new(SchedConfig {
         workers: m,
-        hook: stage.opts.sched_hook.clone(),
-        metrics: stage.opts.metrics.clone(),
+        hook: opts.sched_hook.clone(),
+        metrics: opts.metrics.clone(),
     });
-    for t in injected {
+    for t in prebuilt {
         sched.inject(t);
     }
     // One construction token per worker (see above).
@@ -261,7 +218,7 @@ fn run_stage<S: PlexSink + Send>(
         {
             join_handles.push(scope.spawn(move || {
                 let handle = ctx.attach(sched);
-                stage.work(&handle, sink, wstats);
+                driver.work(&handle, sink, wstats);
             }));
         }
         for h in join_handles {
@@ -276,178 +233,12 @@ fn run_stage<S: PlexSink + Send>(
     merged
 }
 
-impl Stage<'_> {
-    /// One worker's loop. Consecutive tasks on one seed share a searcher,
-    /// which keeps the seed's slot alive; the run of tasks ends at the
-    /// first task on another seed or when the own deque is empty, so the
-    /// slot is released before the worker builds its next seed.
-    fn work<S: PlexSink>(
-        &self,
-        handle: &WorkerHandle<'_, Task>,
-        sink: &mut S,
-        stats: &mut SearchStats,
-    ) {
-        let mut sink = MapSink::new(sink, &self.prep.map);
-        // `Some` while this worker holds its construction token.
-        let mut builder = Some(SeedBuilder::new(self.prep.graph.num_vertices()));
-        let mut carry = None;
-        while let Some(first) = self.fetch(handle, &mut builder, carry.take(), stats) {
-            let slot = Arc::clone(&first.slot);
-            let mut searcher = self.searcher(&slot, handle);
-            let mut next = Some(first);
-            while let Some(task) = next.take() {
-                let flow =
-                    searcher.run_task(task.snap.p(), task.snap.c(), task.snap.x(), &mut sink);
-                if flow == SinkFlow::Stop {
-                    // Propagate an early-stopping sink to every worker, not
-                    // just this one: siblings observe the flag inside their
-                    // own branch recursion (via the searcher's polled
-                    // check), before their next task, and before they build
-                    // another seed.
-                    self.stop.store(true, Ordering::Release);
-                }
-                // Children were counted in by the spawn hook during
-                // run_task, so they precede this count-out in program
-                // order — the termination invariant holds.
-                handle.count_out();
-                if self.stop.load(Ordering::Acquire) {
-                    break; // `fetch` drains the rest unrun
-                }
-                match handle.pop() {
-                    Some(t) if Arc::ptr_eq(&t.slot, &slot) => next = Some(t),
-                    other => carry = other,
-                }
-            }
-            stats.merge(&searcher.stats);
-        }
-    }
-
-    /// The next task to run, or `None` once the run has terminated: the
-    /// carried-over task, else the own deque, else a freshly pulled seed's
-    /// first sub-task, else — with the construction token released — the
-    /// scheduler's injector and peer steals, parking while there is none.
-    /// While the stop flag is raised, tasks are counted out unrun, so
-    /// `pending` still reaches 0 exactly and parked workers get their final
-    /// wake.
-    fn fetch(
-        &self,
-        handle: &WorkerHandle<'_, Task>,
-        builder: &mut Option<SeedBuilder>,
-        mut carry: Option<Task>,
-        stats: &mut SearchStats,
-    ) -> Option<Task> {
-        loop {
-            let task = if let Some(t) = carry.take().or_else(|| handle.pop()) {
-                t
-            } else if let Some(b) = builder {
-                if !self.pull(b, handle, stats) {
-                    *builder = None;
-                    handle.count_out(); // the construction token
-                }
-                continue;
-            } else {
-                handle.next()?
-            };
-            if !self.stop.load(Ordering::Acquire) {
-                return Some(task);
-            }
-            drop(task);
-            handle.count_out();
-        }
-    }
-
-    /// Takes vertices off the cursor until one builds a seed with at least
-    /// one initial task, and pushes its tasks onto the own deque so that
-    /// they pop in sub-task order. Returns false once the cursor is
-    /// exhausted or the stop flag is raised.
-    fn pull(
-        &self,
-        builder: &mut SeedBuilder,
-        handle: &WorkerHandle<'_, Task>,
-        stats: &mut SearchStats,
-    ) -> bool {
-        while !self.stop.load(Ordering::Acquire) {
-            // ordering: the cursor only hands out distinct indices; the
-            // vertices it indexes are immutable, so nothing else is
-            // published through it.
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&v) = self.seeds.iter().nth_back(i) else {
-                return false;
-            };
-            let Some(slot) = self.build_slot(builder, v, stats) else {
-                continue;
-            };
-            let snaps = self.initial_snaps(&slot, stats);
-            if snaps.is_empty() {
-                continue;
-            }
-            for snap in snaps.into_iter().rev() {
-                let slot = Arc::clone(&slot);
-                handle.push(Task { slot, snap });
-            }
-            return true;
-        }
-        false
-    }
-
-    /// A searcher over `slot`'s seed. Its spawn hook publishes deferred
-    /// branches (timeout splits) mid-task: while peers are parked they
-    /// overflow to the global injector and wake one, so a straggler's
-    /// spill-off is picked up while the straggler is still running. Each
-    /// child holds the slot like its parent.
-    fn searcher<'a>(
-        &'a self,
-        slot: &'a Arc<Slot>,
-        handle: &'a WorkerHandle<'_, Task>,
-    ) -> Searcher<'a> {
-        let mut s = Searcher::new(&slot.seed, self.params, self.cfg, slot.pairs.as_ref());
-        // With one worker a split would only re-queue branches on the same
-        // deque (see `EngineOptions::timeout`).
-        s.set_time_budget(self.opts.timeout.filter(|_| self.opts.threads > 1));
-        s.set_stop_flag(Some(self.stop.clone()));
-        s.set_spawn_hook(Some(Box::new(move |snap| {
-            let slot = Arc::clone(slot);
-            handle.push_overflow(Task { slot, snap });
-        })));
-        s
-    }
-
-    /// Builds the slot of seed vertex `v`, counting it into `stats`, or
-    /// `None` when the builder rejects `v`.
-    fn build_slot(
-        &self,
-        builder: &mut SeedBuilder,
-        v: VertexId,
-        stats: &mut SearchStats,
-    ) -> Option<Arc<Slot>> {
-        let (prep, params) = (self.prep, self.params);
-        let seed = builder.build(&prep.graph, &prep.decomp, v, params, self.cfg)?;
-        stats.seed_graphs += 1;
-        stats.seed_pruned_vertices += seed.pruned_vertices;
-        let pairs = self.cfg.use_r2.then(|| PairMatrix::build(&seed, params));
-        Some(Arc::new(Slot { seed, pairs }))
-    }
-
-    /// The initial task snapshots of one slot, accumulating sub-task
-    /// counters (generated / R1-pruned) into `stats`.
-    fn initial_snaps(&self, slot: &Slot, stats: &mut SearchStats) -> Vec<SavedTask> {
-        let seed = &slot.seed;
-        if self.opts.single_task_per_seed {
-            stats.subtasks += 1;
-            let c: Vec<u32> = (1..seed.len() as u32).collect();
-            let x: Vec<u32> = (0..seed.xout.len() as u32).map(|i| i | XOUT_FLAG).collect();
-            return vec![SavedTask::new(&[0], &c, &x)];
-        }
-        collect_subtasks(seed, self.params, self.cfg, slot.pairs.as_ref(), stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kplex_core::{enumerate_collect, FirstN};
+    use kplex_core::{enumerate_collect, FirstN, SinkFlow};
     use kplex_graph::{gen, CsrGraph};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn check_parallel_matches_serial(g: &CsrGraph, k: usize, q: usize, opts: &EngineOptions) {
         let params = Params::new(k, q).unwrap();
@@ -541,14 +332,13 @@ mod tests {
     fn fp_layout_parallel_matches() {
         let g = gen::gnp(40, 0.3, 11);
         let params = Params::new(2, 4).unwrap();
-        let fp_cfg = kplex_baselines::fp_config();
+        let fp_cfg = kplex_core::fp_config();
         let mut sink = CollectSink::default();
-        kplex_baselines::enumerate_fp(&g, params, &mut sink);
+        kplex_core::enumerate_fp(&g, params, &mut sink);
         let serial = sink.into_sorted();
         let opts = EngineOptions {
             timeout: None,
             serial_construction: true,
-            single_task_per_seed: true,
             ..EngineOptions::with_threads(3)
         };
         let (par, _) = par_enumerate_collect(&g, params, &fp_cfg, &opts);
@@ -778,19 +568,48 @@ mod tests {
 
     #[test]
     fn one_worker_emits_the_sequential_drivers_sequence() {
-        // `enumerate` walks seeds last-first, the order the engine's
-        // cursor hands them out, and one worker runs each seed's sub-tasks
-        // in `run_seed`'s order: the two emit the same unsorted sequence.
+        // `enumerate` and a 1-thread engine run are one loop: for every
+        // algorithm, task layout included, the two emit the same unsorted
+        // sequence.
         let g = gen::powerlaw_cluster(200, 5, 0.7, 8);
         let params = Params::new(3, 6).unwrap();
-        let cfg = AlgoConfig::ours();
-        let mut serial = CollectSink::default();
-        kplex_core::enumerate(&g, params, &cfg, &mut serial);
         let opts = EngineOptions::with_threads(1);
-        let (mut sinks, _) = run_parallel(&g, params, &cfg, &opts, CollectSink::default);
-        let engine = sinks.pop().expect("one sink").plexes;
-        assert!(serial.plexes.len() > 1, "instance must have results");
-        assert_eq!(engine, serial.plexes);
+        for algo in Algorithm::ALL {
+            let cfg = algo.config();
+            let mut serial = CollectSink::default();
+            kplex_core::enumerate(&g, params, &cfg, &mut serial);
+            let (mut sinks, _) = run_parallel(&g, params, &cfg, &opts, CollectSink::default);
+            let engine = sinks.pop().expect("one sink").plexes;
+            assert!(
+                serial.plexes.len() > 1,
+                "{algo}: instance must have results"
+            );
+            assert_eq!(engine, serial.plexes, "{algo}");
+        }
+    }
+
+    #[test]
+    fn one_thread_reports_from_the_callers_thread() {
+        // A threads=1 run (every many-small kplexd job) spawns no worker:
+        // its sink sees every result on the thread that called the engine.
+        let g = gen::powerlaw_cluster(200, 5, 0.7, 8);
+        let params = Params::new(3, 6).unwrap();
+        let caller = std::thread::current().id();
+        let foreign = AtomicU64::new(0);
+        let opts = EngineOptions::with_threads(1);
+        let (_, stats) = run_parallel(&g, params, &AlgoConfig::ours(), &opts, || {
+            kplex_core::FnSink(|_: &[VertexId]| {
+                if std::thread::current().id() != caller {
+                    // ordering: test counter, read after the run returned.
+                    foreign.fetch_add(1, Ordering::Relaxed);
+                }
+                SinkFlow::Continue
+            })
+        });
+        // ordering: the run has returned; nothing races this read.
+        let foreign = foreign.load(Ordering::Relaxed);
+        assert_eq!(foreign, 0, "results came from a spawned thread");
+        assert!(stats.outputs > 0, "instance must have results");
     }
 
     #[test]

@@ -2,16 +2,19 @@
 //!
 //! Task-based parallel enumeration (Section 6 of the paper).
 //!
-//! Seeds are built on demand: a worker whose own deque is empty takes the
-//! next vertex off a shared cursor (degeneracy order, last first), builds
-//! its seed subgraph and pushes that seed's initial sub-tasks onto its own
-//! deque. Once the cursor is exhausted, workers fall through to the rest
-//! of the work-stealing scheduler ([`sched`]): the global injector, then
-//! peers in an order rotated by the thief's index. Every task holds its
-//! seed, so a seed is freed with its last task, and the first result does
-//! not wait for the other seeds to be built. Idle workers park on a token
-//! parker and are woken by the next push (at most one wakeup per push);
-//! termination is a pending==0 handshake, not timed polling.
+//! Every worker runs kplex-core's one seed loop ([`kplex_core::driver`])
+//! over its handle on a work-stealing scheduler ([`sched`]): a worker whose
+//! own deque is empty takes the next vertex off the shared cursor
+//! (degeneracy order, last first), builds its seed subgraph and pushes
+//! that seed's initial tasks onto its own deque. Once the cursor is
+//! exhausted, workers fall through to the rest of the scheduler: the
+//! global injector, then peers in an order rotated by the thief's index.
+//! Every task holds its seed, so a seed is freed with its last task, and
+//! the first result does not wait for the other seeds to be built. Idle
+//! workers park on a token parker and are woken by the next push (at most
+//! one wakeup per push); termination is a pending==0 handshake, not timed
+//! polling. A one-thread run spawns no thread: the loop runs on the
+//! calling thread, as in [`kplex_core::enumerate()`].
 //!
 //! Straggler elimination: every task carries a time budget `τ_time`; when a
 //! task runs past it, the searcher stops recursing and re-packages its

@@ -2,15 +2,17 @@
 //! deques, park/unpark wakeup discipline, and the deterministic test seam.
 //!
 //! This module owns the *scheduling* half of the engine — where tasks wait
-//! and how idle workers sleep — while `engine.rs` owns the *enumeration*
-//! half (seeds, searchers, sinks). The topology is crossbeam's: a global
-//! [`Injector`] for initial injection and overflow, one [`Deque`] per
-//! worker with owner-LIFO pop, and peer [`Stealer`]s consulted in an
-//! order rotated by the thief's index (`steal_order`). Idle workers
-//! *park* on a token [`Parker`] instead of sleep-polling.
+//! and how idle workers sleep. The *enumeration* half is kplex-core's seed
+//! loop ([`kplex_core::driver`]), which every worker runs over its
+//! [`WorkerHandle`] as a [`TaskQueue`]; the scheduler stays here so that
+//! kplex-core depends on nothing but `kplex-graph`. The topology is
+//! crossbeam's: a global [`Injector`] for initial injection and overflow,
+//! one [`Deque`] per worker with owner-LIFO pop, and peer [`Stealer`]s
+//! consulted in an order rotated by the thief's index (`steal_order`).
+//! Idle workers *park* on a token [`Parker`] instead of sleep-polling.
 //!
-//! The engine puts one step of its own into the find order: a worker whose
-//! own deque is empty (`WorkerHandle::pop`) builds the next seed and
+//! The seed loop puts one step of its own into the find order: a worker
+//! whose own deque is empty (`WorkerHandle::pop`) builds the next seed and
 //! pushes that seed's tasks before it falls through to
 //! [`WorkerHandle::next`] (injector, peer steals, parking). It does that
 //! only while it holds a construction token (below).
@@ -65,6 +67,7 @@
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use crossbeam::sync::{Parker, Unparker};
+use kplex_core::TaskQueue;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -322,10 +325,10 @@ impl<T> WorkerCtx<T> {
     }
 }
 
-/// One worker's view of the scheduler: find/push/complete, with the park
-/// protocol inside [`WorkerHandle::next`]. All methods take `&self`, so a
-/// searcher's spawn hook can hold a shared borrow while the worker loop
-/// keeps driving the handle.
+/// One worker's view of the scheduler: the [`TaskQueue`] calls, with the
+/// park protocol inside `next`. All methods take `&self`, so a searcher's
+/// spawn hook can hold a shared borrow while the worker loop keeps driving
+/// the handle.
 pub struct WorkerHandle<'s, T> {
     sched: &'s Scheduler<T>,
     ctx: WorkerCtx<T>,
@@ -341,54 +344,23 @@ impl<'s, T> WorkerHandle<'s, T> {
     pub fn scheduler(&self) -> &'s Scheduler<T> {
         self.sched
     }
+}
 
+/// The queue calls of one worker, as the seed loop
+/// ([`kplex_core::driver`]) makes them.
+impl<T> TaskQueue<T> for WorkerHandle<'_, T> {
     /// Pops the newest task off this worker's own deque, without looking
-    /// anywhere else and without parking. The engine uses it to keep
+    /// anywhere else and without parking. The seed loop uses it to keep
     /// running one seed's tasks, and to learn that its deque is empty
     /// before it builds the next seed.
-    pub(crate) fn pop(&self) -> Option<T> {
+    fn pop(&self) -> Option<T> {
         self.ctx.deque.pop()
-    }
-
-    /// One full find sweep: own deque (LIFO, cache-warm), then the global
-    /// injector (batched: spare tasks land on the own deque), then every
-    /// peer in [`steal_order`].
-    fn find(&self) -> Option<T> {
-        if let Some(t) = self.pop() {
-            return Some(t);
-        }
-        loop {
-            match self.sched.injector.steal_batch_and_pop(&self.ctx.deque) {
-                Steal::Success(t) => {
-                    SchedMetrics::bump(&self.sched.metrics.injector_steals);
-                    return Some(t);
-                }
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-        for victim in steal_order(self.ctx.wid, self.sched.stealers.len()) {
-            // Bounded retries per victim: a CAS-contended victim must not
-            // pin this thief while other deques sit full; the outer idle
-            // loop sweeps again.
-            for _ in 0..8 {
-                match self.sched.stealers[victim].steal() {
-                    Steal::Success(t) => {
-                        SchedMetrics::bump(&self.sched.metrics.steals);
-                        return Some(t);
-                    }
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-        }
-        None
     }
 
     /// Returns the next task to run, parking while there is nothing to do,
     /// or `None` once the stage has terminated (`pending == 0`). The
     /// caller owns the task until it calls [`WorkerHandle::count_out`].
-    pub fn next(&self) -> Option<T> {
+    fn next(&self) -> Option<T> {
         loop {
             if let Some(t) = self.find() {
                 return Some(t);
@@ -427,7 +399,7 @@ impl<'s, T> WorkerHandle<'s, T> {
     /// Publishes one new task from this worker: counted in, pushed on the
     /// own deque (LIFO — children run next, cache-warm), then at most one
     /// parked peer is woken to come steal.
-    pub fn push(&self, task: T) {
+    fn push(&self, task: T) {
         self.sched.count_in(1);
         self.ctx.deque.push(task);
         // ordering: SeqCst fence after the push, before the parked-mask
@@ -443,7 +415,7 @@ impl<'s, T> WorkerHandle<'s, T> {
     /// the own deque like [`WorkerHandle::push`]. This is the overflow
     /// path the searcher's mid-run spawn hook uses: deferred branches
     /// become pool-wide work the moment anyone is idle.
-    pub fn push_overflow(&self, task: T) {
+    fn push_overflow(&self, task: T) {
         self.sched.count_in(1);
         if self.any_parked() {
             self.sched.injector.push(task);
@@ -458,8 +430,45 @@ impl<'s, T> WorkerHandle<'s, T> {
 
     /// Counts one task (or construction token) out; see
     /// [`Scheduler::count_out`].
-    pub fn count_out(&self) {
+    fn count_out(&self) {
         self.sched.count_out();
+    }
+}
+
+impl<T> WorkerHandle<'_, T> {
+    /// One full find sweep: own deque (LIFO, cache-warm), then the global
+    /// injector (batched: spare tasks land on the own deque), then every
+    /// peer in [`steal_order`].
+    fn find(&self) -> Option<T> {
+        if let Some(t) = self.pop() {
+            return Some(t);
+        }
+        loop {
+            match self.sched.injector.steal_batch_and_pop(&self.ctx.deque) {
+                Steal::Success(t) => {
+                    SchedMetrics::bump(&self.sched.metrics.injector_steals);
+                    return Some(t);
+                }
+                Steal::Retry => continue,
+                Steal::Empty => break,
+            }
+        }
+        for victim in steal_order(self.ctx.wid, self.sched.stealers.len()) {
+            // Bounded retries per victim: a CAS-contended victim must not
+            // pin this thief while other deques sit full; the outer idle
+            // loop sweeps again.
+            for _ in 0..8 {
+                match self.sched.stealers[victim].steal() {
+                    Steal::Success(t) => {
+                        SchedMetrics::bump(&self.sched.metrics.steals);
+                        return Some(t);
+                    }
+                    Steal::Retry => continue,
+                    Steal::Empty => break,
+                }
+            }
+        }
+        None
     }
 
     /// Whether any worker (possibly this one, mid-idle-loop) has its

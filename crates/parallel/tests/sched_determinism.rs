@@ -10,7 +10,7 @@
 //! Coordination here uses channels and atomics only: the raw-sync lint
 //! bans `Mutex`/`Condvar` in this crate, tests included.
 
-use kplex_core::{AlgoConfig, FnSink, Params, SinkFlow};
+use kplex_core::{AlgoConfig, FnSink, Params, SinkFlow, TaskQueue};
 use kplex_graph::{gen, VertexId};
 use kplex_parallel::sched::{SchedConfig, SchedEvent, SchedHook, SchedMetrics, Scheduler};
 use kplex_parallel::{run_parallel, EngineOptions};

@@ -28,9 +28,9 @@ OPTIONS:
   --probe-rises N       consecutive successes before a dead backend rejoins
                         (default 2)
   --replicas N          copies of each job placed across distinct backends
-                        (rendezvous top-N per key); the extras serve STATUS/
-                        STREAM reads and stand by for mid-stream promotion
-                        when the primary dies (default 1 = off)
+                        (rendezvous top-N per key); the extras stand by for
+                        mid-stream promotion when the primary dies, which
+                        alone serves STATUS/STREAM (default 1 = off)
   --principals FILE     enable edge tenancy: the same passwd-style principal
                         file the backends run with. Clients AUTH to the
                         router, over-quota submits are rejected at the edge,

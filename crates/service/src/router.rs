@@ -16,10 +16,11 @@
 //!
 //! With `--replicas R` (R > 1) every submission is additionally placed on
 //! the next R − 1 live backends in the key's rendezvous order. The first
-//! copy is the **primary** and owns the authoritative job state; the rest
-//! are best-effort read replicas: `STATUS`/`STREAM` reads fan out across
-//! primary + live replicas round-robin, and a primary lost mid-stream is
-//! promoted to a live replica instead of being recomputed from scratch.
+//! copy is the **primary**: it owns the authoritative job state and serves
+//! every `STATUS` and `STREAM`, so a client's resume is served by the copy
+//! that served its prefix. The rest are best-effort hot standbys: a
+//! primary lost mid-stream is promoted to a live replica instead of being
+//! recomputed from scratch, and `CANCEL` stops every copy.
 //!
 //! Failover: any transport failure towards a backend marks it dead. Jobs
 //! placed on it fail over to the survivors: one with a live replica is
@@ -98,7 +99,7 @@ pub struct RouterConfig {
     pub probe: Option<ProbeConfig>,
     /// Copies of each job placed across distinct backends (the rendezvous
     /// top-R for its key). The first is the primary; the rest are
-    /// best-effort read replicas (see the module docs). `1` — the
+    /// best-effort hot standbys (see the module docs). `1` — the
     /// default — disables replication.
     pub replicas: usize,
     /// Principal store (`kplexr --principals`, same file as the backends):
@@ -183,9 +184,9 @@ struct Routed {
     backend: String,
     remote_id: JobId,
     /// Best-effort replica placements, `(backend, backend-local id)` each.
-    /// Replicas run the same job independently; they serve reads and stand
-    /// by for promotion when the primary's backend dies. Entries are
-    /// scrubbed as their backends die.
+    /// Replicas run the same job independently and stand by for promotion
+    /// when the primary's backend dies. Entries are scrubbed as their
+    /// backends die.
     replicas: Vec<(String, JobId)>,
     /// Kept for failover resubmission of queued jobs.
     args: SubmitArgs,
@@ -207,9 +208,6 @@ struct RouterState {
     probe: Option<ProbeConfig>,
     /// [`RouterConfig::replicas`], clamped to ≥ 1.
     replicas: usize,
-    /// Round-robin cursor spreading `STATUS`/`STREAM` reads over a job's
-    /// primary + live replicas.
-    read_rr: AtomicU64,
     /// Principal store; `None` = tenancy disabled.
     principals: Option<crate::auth::PrincipalStore>,
     /// Registered tokens, scrubbed from every reply line.
@@ -338,7 +336,6 @@ impl Router {
                 shutdown: AtomicBool::new(false),
                 probe: cfg.probe.clone(),
                 replicas: cfg.replicas.max(1),
-                read_rr: AtomicU64::new(0),
                 principals,
                 secrets,
                 admin_token,
@@ -1057,26 +1054,6 @@ fn place_replicas(
     out
 }
 
-/// The read targets of a routed job — `(backend, backend-local id)` for
-/// the primary plus every replica whose backend is currently live.
-/// `STATUS` and `STREAM` rotate over these ([`RouterState::read_rr`]) so
-/// read load fans out; only a reply obtained through the *primary* feeds
-/// [`note_state`] — replica copies advance independently, and their states
-/// must not clobber the authoritative record.
-fn read_targets(state: &RouterState, job: &Routed) -> Vec<(String, JobId)> {
-    let mut targets = vec![(job.backend.clone(), job.remote_id)];
-    if !job.replicas.is_empty() {
-        let live = live_backends(state);
-        targets.extend(
-            job.replicas
-                .iter()
-                .filter(|(b, _)| live.contains(b))
-                .cloned(),
-        );
-    }
-    targets
-}
-
 fn lookup(state: &RouterState, rid: JobId) -> Option<Routed> {
     state.jobs.lock().get(&rid).cloned()
 }
@@ -1175,39 +1152,25 @@ fn proxy_status(state: &Arc<RouterState>, rid: JobId) -> String {
         if job.error.is_some() {
             return local_status_line(rid, &job);
         }
-        // Reads rotate over primary + live replicas.
-        let targets = read_targets(state, &job);
-        // ordering: round-robin cursor — only read fairness, no data is
-        // published through it.
-        let turn = state.read_rr.fetch_add(1, Ordering::Relaxed) as usize % targets.len();
-        let (t_backend, t_remote) = targets[turn].clone();
-        let primary = t_backend == job.backend && t_remote == job.remote_id;
-        match unary(state, &t_backend).and_then(|mut c| c.status(t_remote)) {
+        match unary(state, &job.backend).and_then(|mut c| c.status(job.remote_id)) {
             Ok(fields) => {
-                if primary {
-                    if let Some(observed) = fields.get("state") {
-                        note_state(state, rid, observed, &job);
-                    }
+                if let Some(observed) = fields.get("state") {
+                    note_state(state, rid, observed, &job);
                 }
-                return rewrite_fields("OK", rid, &fields, &t_backend);
+                return rewrite_fields("OK", rid, &fields, &job.backend);
             }
             // The backend evicted its copy past its retention backlog:
             // answer from the router's own record instead of leaking the
-            // backend-local id embedded in the remote message. A replica
-            // eviction just rotates to the next target.
+            // backend-local id embedded in the remote message.
             Err(ClientError::Remote(msg)) if msg.starts_with("no such job") => {
-                if primary {
-                    return local_status_line(rid, &job);
-                }
+                return local_status_line(rid, &job);
             }
             Err(ClientError::Remote(msg)) => return format!("ERR {msg}"),
             // Transport failure: fail the backend over and retry — the job
             // either moved (promotion/requeue) or was terminated locally.
             Err(_) => {
-                mark_backend_dead(state, &t_backend);
-                if primary {
-                    recover_job(state, rid, &job.backend);
-                }
+                mark_backend_dead(state, &job.backend);
+                recover_job(state, rid, &job.backend);
                 std::thread::sleep(RETRY_PAUSE);
             }
         }
@@ -1314,22 +1277,16 @@ fn forward_results(
                 job.last_state
             ));
         }
-        // Reads rotate over primary + live replicas (each replica runs the
-        // same job, so any of them can serve the suffix from `next_seq`).
-        let targets = read_targets(state, &job);
-        // ordering: round-robin cursor — only read fairness, no data is
-        // published through it.
-        let turn = state.read_rr.fetch_add(1, Ordering::Relaxed) as usize % targets.len();
-        let (t_backend, t_remote) = targets[turn].clone();
-        let primary = t_backend == job.backend && t_remote == job.remote_id;
         let mut forwarded = 0u64;
         let mut write_err: Option<std::io::Error> = None;
-        // The backend stream is abandoned (and the connection dropped,
-        // stopping the backend's producer) as soon as a downstream write
-        // fails — the router must not drain a 10^9-result stream nobody is
-        // reading.
-        let streamed = streaming(state, &t_backend).and_then(|mut c| {
-            c.stream_lines_from(t_remote, next_seq, |backend_line, more| {
+        // Only the primary serves reads: a replica runs its own copy of the
+        // job, whose seq order differs from the primary's above threads=1,
+        // so it could not continue a stream the primary began. The backend
+        // stream is abandoned (and the connection dropped, stopping the
+        // backend's producer) as soon as a downstream write fails — the
+        // router must not drain a 10^9-result stream nobody is reading.
+        let streamed = streaming(state, &job.backend).and_then(|mut c| {
+            c.stream_lines_from(job.remote_id, next_seq, |backend_line, more| {
                 // Spliced: the backend's bytes with the id rewritten to
                 // the router namespace, once the line passed the strict
                 // result-line check.
@@ -1343,7 +1300,7 @@ fn forward_results(
                     Ok(()) => {
                         next_seq = seq + 1;
                         forwarded += 1;
-                        if forwarded == 1 && primary {
+                        if forwarded == 1 {
                             // A streamed result proves the job left the
                             // queue: record it, so failover treats it as
                             // running rather than still queued.
@@ -1364,20 +1321,16 @@ fn forward_results(
         match streamed {
             Ok(None) => unreachable!("an aborted stream sets write_err"),
             Ok(Some(end)) => {
-                if primary {
-                    if let Some(observed) = end.get("state") {
-                        note_state(state, rid, observed, &job);
-                    }
+                if let Some(observed) = end.get("state") {
+                    note_state(state, rid, observed, &job);
                 }
-                return Ok(rewrite_fields("END", rid, &end, &t_backend));
+                return Ok(rewrite_fields("END", rid, &end, &job.backend));
             }
             Err(ClientError::Remote(msg)) if msg.starts_with("no such job") => {
-                if primary {
-                    return Ok(format!(
-                        "ERR results for job {rid} were evicted on {t_backend}"
-                    ));
-                }
-                // A replica evicted its copy: rotate to the next target.
+                return Ok(format!(
+                    "ERR results for job {rid} were evicted on {}",
+                    job.backend
+                ));
             }
             Err(ClientError::Remote(msg)) => return Ok(format!("ERR {msg}")),
             Err(_) => {
@@ -1386,10 +1339,8 @@ fn forward_results(
                 // [from, next_seq); then fail the backend over and resume
                 // the missing suffix on the job's next placement.
                 out.flush()?;
-                mark_backend_dead(state, &t_backend);
-                if primary {
-                    recover_job(state, rid, &job.backend);
-                }
+                mark_backend_dead(state, &job.backend);
+                recover_job(state, rid, &job.backend);
                 std::thread::sleep(RETRY_PAUSE);
             }
         }

@@ -6,7 +6,7 @@
 //! tenancy enforced at the router edge, and prompt delivery to a live
 //! follower from both tiers. All listeners bind port 0.
 
-use kplex_core::{enumerate_count, AlgoConfig, Params};
+use kplex_core::{enumerate_collect, enumerate_count, AlgoConfig, Params};
 use kplex_service::router::{pick_backend, routing_key};
 use kplex_service::{
     Client, ClientError, PrincipalStore, ProbeConfig, Router, RouterConfig, Server, ServerConfig,
@@ -409,6 +409,90 @@ fn stream_resumes_exactly_once_when_owner_dies_mid_stream() {
     for (_, h) in handles {
         h.shutdown();
     }
+}
+
+/// With `--replicas 2`, the primary alone serves `STATUS` and `STREAM`. A
+/// replica runs its own copy of the job, whose result order differs from
+/// the primary's above `threads=1`; a plain `STREAM … FROM n` resume of a
+/// `threads=2` job served by the replica would repeat some results and
+/// miss others, silently. Every reply must name the primary, and the
+/// prefix plus the resumed suffix must be exactly the job's result set.
+#[test]
+fn replicated_reads_are_served_by_the_primary() {
+    let (k, q) = (2, 7);
+    let expected = {
+        let g = kplex_datasets::by_name("jazz").expect("dataset").load();
+        let params = Params::new(k, q).expect("valid params");
+        enumerate_collect(&g, params, &AlgoConfig::ours()).0
+    };
+    assert!(expected.len() >= 100, "need enough results to split");
+    let a = start_backend(1);
+    let b = start_backend(1);
+    let backends = vec![a.addr().to_string(), b.addr().to_string()];
+    let router = start_router_replicated(&backends, 2);
+    let mut c = Client::connect(router.addr()).expect("connect");
+
+    let mut args = SubmitArgs::dataset("jazz", k, q);
+    args.threads = Some(2);
+    let fields = c.submit_fields(&args).expect("submit");
+    assert_eq!(fields.get("replicas").map(String::as_str), Some("1"));
+    let id: u64 = fields["id"].parse().expect("id= in submit reply");
+    let primary = fields["backend"].clone();
+
+    // Consecutive STATUS replies, through to done and beyond.
+    let mut done_seen = 0;
+    while done_seen < 4 {
+        let st = c.status(id).expect("status");
+        assert_eq!(
+            st.get("backend"),
+            Some(&primary),
+            "STATUS left the primary: {st:?}"
+        );
+        match st.get("state").map(String::as_str) {
+            Some("done") => done_seen += 1,
+            Some("queued" | "running") => std::thread::sleep(Duration::from_millis(5)),
+            other => panic!("job in unexpected state {other:?}"),
+        }
+    }
+
+    // A prefix on one connection, the suffix resumed on another.
+    let half = expected.len() / 2;
+    let mut got: Vec<Vec<u32>> = Vec::new();
+    let aborted = c
+        .stream_while(id, |_, plex| {
+            got.push(plex.to_vec());
+            got.len() < half
+        })
+        .expect("prefix stream");
+    assert!(aborted.is_none(), "the prefix must stop mid-stream");
+    drop(c);
+    let mut c = Client::connect(router.addr()).expect("reconnect");
+    let end = c
+        .stream_from(id, half as u64, |_, plex| got.push(plex.to_vec()))
+        .expect("resumed stream");
+    assert_eq!(
+        end.get("backend"),
+        Some(&primary),
+        "resume left the primary: {end:?}"
+    );
+    assert_eq!(
+        end.get("state").map(String::as_str),
+        Some("done"),
+        "{end:?}"
+    );
+    assert!(!end.contains_key("truncated"), "{end:?}");
+    for plex in &mut got {
+        plex.sort_unstable();
+    }
+    got.sort();
+    assert_eq!(
+        got, expected,
+        "prefix + resumed suffix is not the job's result set"
+    );
+
+    router.shutdown();
+    a.shutdown();
+    b.shutdown();
 }
 
 /// ADDNODE grows the registry at runtime, DROPNODE drains a backend

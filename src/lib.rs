@@ -31,7 +31,6 @@
 //! assert_eq!(stats.outputs, 1);
 //! ```
 
-pub use kplex_baselines as baselines;
 pub use kplex_core as core;
 pub use kplex_datasets as datasets;
 pub use kplex_graph as graph;
@@ -40,10 +39,9 @@ pub use kplex_service as service;
 
 /// The most common imports for library users.
 pub mod prelude {
-    pub use kplex_baselines::Algorithm;
     pub use kplex_core::{
-        enumerate, enumerate_collect, enumerate_count, AlgoConfig, CollectSink, CountSink, Params,
-        PlexSink, SearchStats, SinkFlow,
+        enumerate, enumerate_collect, enumerate_count, AlgoConfig, Algorithm, CollectSink,
+        CountSink, Params, PlexSink, SearchStats, SinkFlow,
     };
     pub use kplex_graph::{CsrGraph, GraphBuilder, GraphStats, VertexId};
     pub use kplex_parallel::{par_enumerate_collect, par_enumerate_count, EngineOptions};

@@ -5,9 +5,8 @@
 //! that "all algorithms return the same result set" must hold all the way
 //! down to an exhaustive subset scan.
 
-use kplex_baselines::Algorithm;
 use kplex_core::naive::{brute_force, naive_bron_kerbosch};
-use kplex_core::Params;
+use kplex_core::{Algorithm, Params};
 use kplex_graph::{gen, CsrGraph};
 
 fn check_all_algorithms(g: &CsrGraph, k: usize, q: usize, oracle: &[Vec<u32>], label: &str) {

@@ -9,10 +9,9 @@
 //! degenerates to maximal clique listing, so that row doubles as a clique
 //! sanity check against a well-understood problem.
 
-use kplex_baselines::Algorithm;
 use kplex_core::naive::naive_bron_kerbosch;
 use kplex_core::plex::is_kplex;
-use kplex_core::{enumerate_collect, AlgoConfig, Params};
+use kplex_core::{enumerate_collect, AlgoConfig, Algorithm, Params};
 use kplex_graph::{gen, CsrGraph};
 
 /// The (k, q) grid of the differential suite. Combinations violating the

@@ -1,10 +1,9 @@
 //! End-to-end tests of the extension APIs: maximum k-plex solving, CTCP
 //! reduction, the result verifier, and the pivot-rule ablation variants.
 
-use kplex_baselines::Algorithm;
 use kplex_core::{
     ctcp_reduce, enumerate_collect, maximum_kplex, verify_complete, verify_results, AlgoConfig,
-    Params,
+    Algorithm, Params,
 };
 use kplex_graph::{gen, induced_diameter, GraphStore};
 

@@ -1,8 +1,7 @@
 //! Consistency of the parallel engine (Section 6) against the sequential
 //! driver across thread counts, timeouts and task layouts.
 
-use kplex_baselines::{fp_config, listplex_config};
-use kplex_core::{enumerate_collect, AlgoConfig, CollectSink, Params};
+use kplex_core::{enumerate_collect, fp_config, listplex_config, AlgoConfig, CollectSink, Params};
 use kplex_graph::gen;
 use kplex_parallel::{par_enumerate_collect, par_enumerate_count, EngineOptions, SchedMetrics};
 use std::sync::Arc;
@@ -63,7 +62,7 @@ fn parallel_listplex_matches_serial_listplex() {
     let params = Params::new(2, 6).unwrap();
     let cfg = listplex_config();
     let mut sink = CollectSink::default();
-    kplex_baselines::enumerate_listplex(&g, params, &mut sink);
+    kplex_core::enumerate_listplex(&g, params, &mut sink);
     let serial = sink.into_sorted();
     let mut opts = EngineOptions::with_threads(3);
     opts.timeout = None; // ListPlex has no straggler elimination
@@ -76,12 +75,11 @@ fn parallel_fp_matches_serial_fp() {
     let g = gen::powerlaw_cluster(200, 5, 0.6, 27);
     let params = Params::new(2, 6).unwrap();
     let mut sink = CollectSink::default();
-    kplex_baselines::enumerate_fp(&g, params, &mut sink);
+    kplex_core::enumerate_fp(&g, params, &mut sink);
     let serial = sink.into_sorted();
     let opts = EngineOptions {
         timeout: None,
         serial_construction: true,
-        single_task_per_seed: true,
         ..EngineOptions::with_threads(3)
     };
     let (par, _) = par_enumerate_collect(&g, params, &fp_config(), &opts);
@@ -135,6 +133,7 @@ fn stats_outputs_match_counts() {
 // ---------------------------------------------------------------------------
 
 mod task_conservation {
+    use kplex_core::TaskQueue;
     use kplex_parallel::sched::{SchedConfig, Scheduler};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,9 +1,8 @@
 //! End-to-end pipeline tests: graph I/O → reduction → enumeration →
 //! verification, plus dataset registry integration.
 
-use kplex_baselines::Algorithm;
 use kplex_core::plex::is_maximal_kplex;
-use kplex_core::{enumerate_collect, AlgoConfig, Params};
+use kplex_core::{enumerate_collect, AlgoConfig, Algorithm, Params};
 use kplex_graph::{gen, io};
 
 #[test]

@@ -7,9 +7,8 @@
 //! * all algorithm variants and the parallel engine report the same sets,
 //! * disabling pruning rules never changes the result set.
 
-use kplex_baselines::Algorithm;
 use kplex_core::plex::{is_kplex, is_maximal_kplex};
-use kplex_core::{enumerate_collect, enumerate_count, AlgoConfig, Params};
+use kplex_core::{enumerate_collect, enumerate_count, AlgoConfig, Algorithm, Params};
 use kplex_graph::{CsrGraph, VertexId};
 use kplex_parallel::{par_enumerate_collect, par_enumerate_count, EngineOptions};
 use proptest::prelude::*;
