@@ -10,6 +10,14 @@
 //! ids (`0` is always the seed). Earlier vertices within two hops — needed
 //! only as maximality witnesses — are kept outside the matrix as bitset rows
 //! over the local columns (`xout`).
+//!
+//! Most seed vertices cannot host a plex of `q` vertices, so
+//! [`SeedBuilder::build`] rejects them as early as it can: first by the
+//! number of the seed's later neighbours, then by Corollary 5.2 on those
+//! neighbours alone, reading only their rows. Only a seed that passes both
+//! pays for the two-hop ball, its rows, the local matrix and the pruning
+//! fixpoint. Its doc lists the gates and why the early ones change no
+//! built seed.
 
 use crate::config::{AlgoConfig, Params};
 use kplex_graph::matrix::AdjMatrix;
@@ -80,8 +88,11 @@ pub struct SeedBuilder {
     check: Vec<u32>,
     old_to_new: Vec<u32>,
     /// Input-graph-sized indicator of the seed's later neighbours, used by
-    /// the pre-matrix common-neighbour gate. Cleared after every build.
+    /// the pre-matrix common-neighbour gates. Cleared after every build.
     gate_mark: BitSet,
+    /// The later neighbours the first common-neighbour gate pruned,
+    /// ascending, so the ball's gate can replay them.
+    dropped: Vec<VertexId>,
     /// Pooled row-decode scratch for [`GraphStore::row`]. Zero-copy backends
     /// never touch these; compressed backends decode into them, and pooling
     /// keeps that to at most two live rows with no per-build allocation.
@@ -104,16 +115,43 @@ impl SeedBuilder {
             check: Vec::new(),
             old_to_new: Vec::new(),
             gate_mark: BitSet::new(n),
+            dropped: Vec::new(),
             row_a: Vec::new(),
             row_b: Vec::new(),
         }
     }
 
     /// Builds the seed subgraph for `seed`, or `None` when it provably cannot
-    /// host a plex of size `q` (too few vertices or too few seed neighbours).
-    /// Accepts any [`GraphStore`] backend: each raw row the build touches is
-    /// read (and, for compressed backends, decoded) exactly once, into the
-    /// builder's pooled scratch.
+    /// host a plex of size `q`. Accepts any [`GraphStore`] backend.
+    ///
+    /// A plex `P` of at least `q` vertices whose η-minimal vertex is `seed`
+    /// holds at least `q − k` later neighbours of the seed (the seed misses
+    /// at most `k − 1` others), and by Corollary 5.2 each of them has at
+    /// least `q − 2k` common neighbours with the seed inside `P`, so inside
+    /// those later neighbours. The gates, in order:
+    ///
+    /// 1. fewer than `q − k` later neighbours: rejected after reading the
+    ///    seed's row alone;
+    /// 2. round 0 of Corollary 5.2 on the later neighbours alone, in
+    ///    ascending id order with the in-round cascade, leaves fewer than
+    ///    `q − k` of them: rejected after reading only their rows;
+    /// 3. the later two-hop ball, walked through the later neighbours,
+    ///    holds fewer than `q` vertices;
+    /// 4. round 0 on the whole ball, which takes each later neighbour's
+    ///    verdict from gate 2 at its ascending position instead of reading
+    ///    its row a third time;
+    /// 5. the fixpoint's later rounds on the local matrix, then fewer than
+    ///    `q` survivors or fewer than `q − k` of them adjacent to the seed.
+    ///
+    /// Gate 2 prunes exactly the later neighbours that gate 4 prunes: a
+    /// pruned two-hop vertex never counts as a common neighbour, so the
+    /// cascade among later neighbours does not depend on it. Its survivors
+    /// therefore bound the built seed's `hop1`, so gate 2 rejects only
+    /// seeds that a later gate rejects anyway, and every built
+    /// [`SeedGraph`] is the same as without it. A built seed reads each row
+    /// no more often than without gate 2: a later neighbour's row twice
+    /// before the matrix (gate 2 and the ball walk), any other ball
+    /// vertex's row once (gate 4).
     pub fn build<G: GraphStore + ?Sized>(
         &mut self,
         g: &G,
@@ -144,15 +182,64 @@ impl SeedBuilder {
         row_b: &mut Vec<VertexId>,
     ) -> Option<SeedGraph> {
         let (k, q) = (params.k, params.q);
-        // Cheap gate first: P must contain >= q - k seed neighbours (the
-        // seed tolerates at most k - 1 non-neighbours besides itself), all
-        // later in η. This rejects the vast majority of seeds in O(deg).
-        let direct_later = g
-            .row(seed, row_a)
-            .iter()
-            .filter(|&&w| decomp.before(seed, w))
-            .count();
+        // Gate 1, in O(deg). The seed's row stays in `row_a` until gate 4
+        // is done.
+        let seed_row = g.row(seed, row_a);
+        let direct_later = seed_row.iter().filter(|&&w| decomp.before(seed, w)).count();
         if direct_later + k < q {
+            return None;
+        }
+
+        // Round 0 of Corollary 5.2, run against the raw rows before the
+        // local matrix exists, so on hub seeds most of the ball dies before
+        // the O(|ball|²) matrix build is paid. It matches the fixpoint's
+        // first pass exactly — same thresholds, same ascending scan order,
+        // and the same in-round cascade the matrix loop got from `isolate`:
+        // a pruned seed neighbour stops counting as a common neighbour for
+        // every vertex tested after it (`gate_mark` removal). Round-limited
+        // presets (FP, D2K use one threshold round) therefore prune
+        // identically, and the matrix fixpoint starts at round 1.
+        let thr_adj = q as i64 - 2 * k as i64;
+        let thr_two = q as i64 - 2 * k as i64 + 2;
+        let threshold_round = cfg.seed_prune_rounds > 0;
+
+        // --- gate 2: round 0 on the later neighbours alone ------------------
+        // It only counts: walking the ball here as well made a rejected
+        // hub seed pay for the ball it never uses. `dropped` records the
+        // neighbours it prunes, ascending, for gate 4.
+        let Self {
+            gate_mark, dropped, ..
+        } = self;
+        dropped.clear();
+        for &w in seed_row {
+            if decomp.before(seed, w) {
+                gate_mark.insert(w as usize);
+            }
+        }
+        let mut unscanned = direct_later;
+        let mut kept = 0;
+        for &w in seed_row {
+            if !decomp.before(seed, w) {
+                continue;
+            }
+            unscanned -= 1;
+            let common = g
+                .row(w, row_b)
+                .iter()
+                .filter(|&&x| gate_mark.contains(x as usize))
+                .count() as i64;
+            if threshold_round && common < thr_adj {
+                gate_mark.remove(w as usize); // cascade within the round
+                dropped.push(w);
+            } else {
+                kept += 1;
+            }
+            if kept + unscanned + k < q {
+                break; // the rest of the scan cannot save the seed
+            }
+        }
+        if kept + k < q {
+            self.clear_gate(seed_row);
             return None;
         }
 
@@ -160,7 +247,8 @@ impl SeedBuilder {
         // Two-hop expansion only walks through *later* hop-1 middles: any
         // plex member (or maximality witness) at distance two from the seed
         // shares a common neighbour *inside the plex*, and all plex members
-        // other than the seed are later in η.
+        // other than the seed are later in η. Middles that gate 2 dropped
+        // are walked too: their other neighbours can still be witnesses.
         let Self {
             map: mark,
             touched,
@@ -183,10 +271,10 @@ impl SeedBuilder {
                 }
             }
         };
-        for &w in g.row(seed, row_a) {
+        for &w in seed_row {
             visit(w);
         }
-        for &w in g.row(seed, row_a) {
+        for &w in seed_row {
             if !decomp.before(seed, w) {
                 continue; // earlier middles cannot occur inside a plex
             }
@@ -196,8 +284,8 @@ impl SeedBuilder {
                 }
             }
         }
-
         if 1 + self.later.len() < q {
+            self.clear_gate(seed_row);
             self.reset();
             return None;
         }
@@ -205,58 +293,46 @@ impl SeedBuilder {
         self.later.sort_unstable();
         self.earlier.sort_unstable();
 
-        // --- cheap common-neighbour gate (round 0 of Corollary 5.2) --------
-        // Run against the raw CSR neighbourhoods *before* the local matrix
-        // exists, so on hub seeds most of the ball dies before the
-        // O(|ball|²) matrix build is paid. This reproduces the fixpoint's
-        // first pass exactly — same thresholds, same ascending scan order,
-        // and the same in-round cascade the matrix loop got from
-        // `isolate`: a pruned seed neighbour stops counting as a common
-        // neighbour for every vertex tested after it (`gate_mark` removal
-        // below). Round-limited presets (FP, D2K use one threshold round)
-        // therefore prune identically. Because the gate *is* round 0, the
-        // matrix fixpoint starts at round 1 — outputs and pruning stats
-        // are unchanged.
-        let thr_adj = q as i64 - 2 * k as i64;
-        let thr_two = q as i64 - 2 * k as i64 + 2;
+        // --- gate 4: round 0 on the whole ball ------------------------------
+        // `gate_mark` starts again from every later neighbour; a later
+        // neighbour is removed at its own position when gate 2 dropped it,
+        // without reading its row again. While the walk has not reached a
+        // later neighbour it is still marked, which is how this walk tells
+        // it from a two-hop vertex.
+        let Self {
+            gate_mark,
+            dropped,
+            later,
+            ..
+        } = self;
+        for &w in dropped.iter() {
+            gate_mark.insert(w as usize);
+        }
         let mut pruned_vertices = 0u64;
-        {
-            let Self {
-                gate_mark, later, ..
-            } = self;
-            for &w in g.row(seed, row_a) {
-                if decomp.before(seed, w) {
-                    gate_mark.insert(w as usize);
-                }
-            }
-            let threshold_round = cfg.seed_prune_rounds > 0;
-            let mut kept = 0;
-            for i in 0..later.len() {
-                let u = later[i];
-                let adjacent = gate_mark.contains(u as usize);
+        let mut dropped_iter = dropped.iter().peekable();
+        let mut kept = 0;
+        for i in 0..later.len() {
+            let u = later[i];
+            let prune = if gate_mark.contains(u as usize) {
+                dropped_iter.next_if_eq(&&u).is_some()
+            } else {
                 let common = g
                     .row(u, row_b)
                     .iter()
                     .filter(|&&w| gate_mark.contains(w as usize))
                     .count() as i64;
-                let prune = if adjacent {
-                    threshold_round && common < thr_adj
-                } else {
-                    k == 1 || common < 1 || (threshold_round && common < thr_two)
-                };
-                if prune {
-                    pruned_vertices += 1;
-                    gate_mark.remove(u as usize); // cascade within the round
-                } else {
-                    later[kept] = u;
-                    kept += 1;
-                }
-            }
-            later.truncate(kept);
-            for &w in g.row(seed, row_a) {
-                gate_mark.remove(w as usize);
+                k == 1 || common < 1 || (threshold_round && common < thr_two)
+            };
+            if prune {
+                pruned_vertices += 1;
+                gate_mark.remove(u as usize);
+            } else {
+                later[kept] = u;
+                kept += 1;
             }
         }
+        later.truncate(kept);
+        self.clear_gate(seed_row);
         if 1 + self.later.len() < q {
             self.reset();
             return None;
@@ -429,6 +505,13 @@ impl SeedBuilder {
         })
     }
 
+    /// Unmarks the seed's neighbours in `gate_mark`.
+    fn clear_gate(&mut self, seed_row: &[VertexId]) {
+        for &w in seed_row {
+            self.gate_mark.remove(w as usize);
+        }
+    }
+
     fn reset(&mut self) {
         for &v in &self.touched {
             self.map[v as usize] = u32::MAX;
@@ -441,6 +524,7 @@ impl SeedBuilder {
 mod tests {
     use super::*;
     use kplex_graph::{core_decomposition, gen, CsrGraph};
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn build_all(g: &CsrGraph, params: Params, cfg: &AlgoConfig) -> Vec<SeedGraph> {
         let decomp = core_decomposition(g);
@@ -569,6 +653,112 @@ mod tests {
                 assert_eq!(sg.deg[i] as usize, sg.adj.degree(i));
             }
         }
+    }
+
+    /// A CSR graph that counts how often each vertex's row is read.
+    struct RowCounter {
+        g: CsrGraph,
+        reads: Vec<AtomicU32>,
+    }
+
+    impl RowCounter {
+        fn new(g: CsrGraph) -> Self {
+            let reads = (0..g.num_vertices()).map(|_| AtomicU32::new(0)).collect();
+            Self { g, reads }
+        }
+
+        /// Every vertex's read count since the last call, zeroing them.
+        fn take(&self) -> Vec<u32> {
+            let reads = self.reads.iter();
+            // ordering: counters of one thread's reads, read by it.
+            reads.map(|r| r.swap(0, Ordering::Relaxed)).collect()
+        }
+    }
+
+    impl GraphStore for RowCounter {
+        fn num_vertices(&self) -> usize {
+            self.g.num_vertices()
+        }
+        fn num_edges(&self) -> usize {
+            self.g.num_edges()
+        }
+        fn degree(&self, v: VertexId) -> usize {
+            self.g.degree(v)
+        }
+        fn row<'a>(&'a self, v: VertexId, scratch: &'a mut Vec<VertexId>) -> &'a [VertexId] {
+            // ordering: as in `take`.
+            self.reads[v as usize].fetch_add(1, Ordering::Relaxed);
+            self.g.row(v, scratch)
+        }
+        fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
+            self.g.has_edge(u, v)
+        }
+        fn kind(&self) -> kplex_graph::StoreKind {
+            self.g.kind()
+        }
+        fn resident_bytes(&self) -> usize {
+            self.g.resident_bytes()
+        }
+    }
+
+    /// Seed 0 with later neighbours 1, 2, 3, each joined to all of 4, 5, 6
+    /// (a triangle); with `triangle` the neighbours 1, 2, 3 form one too.
+    fn seed_with_ball(triangle: bool) -> RowCounter {
+        let mut edges = vec![(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 6)];
+        for a in 1..=3 {
+            for x in 4..=6 {
+                edges.push((a, x));
+            }
+        }
+        if triangle {
+            edges.extend([(1, 2), (1, 3), (2, 3)]);
+        }
+        RowCounter::new(CsrGraph::from_edges(7, edges).unwrap())
+    }
+
+    #[test]
+    fn a_seed_rejected_on_its_later_neighbours_reads_only_their_rows() {
+        // k = 2, q = 5: the seed needs q − k = 3 later neighbours with
+        // q − 2k = 1 common neighbour among them each. Its three are
+        // pairwise non-adjacent, while its later two-hop ball holds 7 ≥ q
+        // vertices, so rejecting it needs none of the rows of 4, 5, 6.
+        let g = seed_with_ball(false);
+        let decomp = core_decomposition(&g);
+        assert_eq!(decomp.order[0], 0, "the seed must come first in η");
+        let mut b = SeedBuilder::new(7);
+        g.take();
+        let params = Params::new(2, 5).unwrap();
+        assert!(b
+            .build(&g, &decomp, 0, params, &AlgoConfig::ours())
+            .is_none());
+        let reads = g.take();
+        assert_eq!(reads[0], 1, "the seed's row is read once: {reads:?}");
+        assert_eq!(&reads[4..], &[0, 0, 0], "two-hop rows read: {reads:?}");
+    }
+
+    #[test]
+    fn a_built_seed_reads_no_row_more_often() {
+        // With the triangle on 1, 2, 3 the seed builds, keeping all seven
+        // vertices. Per vertex, the reads the builder made before the
+        // later-neighbour gate existed: the seed's row six times, each
+        // later neighbour's three times (ball walk, common-neighbour gate,
+        // matrix), each two-hop vertex's twice (gate, matrix).
+        const BEFORE: [u32; 7] = [6, 3, 3, 3, 2, 2, 2];
+        let g = seed_with_ball(true);
+        let decomp = core_decomposition(&g);
+        assert_eq!(decomp.order[0], 0, "the seed must come first in η");
+        let mut b = SeedBuilder::new(7);
+        g.take();
+        let params = Params::new(2, 5).unwrap();
+        let sg = b
+            .build(&g, &decomp, 0, params, &AlgoConfig::ours())
+            .unwrap();
+        assert_eq!(sg.verts.len(), 7);
+        let reads = g.take();
+        assert!(
+            reads.iter().zip(BEFORE).all(|(&now, before)| now <= before),
+            "reads {reads:?} exceed {BEFORE:?}"
+        );
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   binary-search adjacency. The fastest backend and the default.
 //! * [`CompressedStore`] — gap/varint–encoded adjacency rows that decode
 //!   into a caller-provided scratch buffer. Rows cost a decode per access,
-//!   but the pre-matrix seed gate touches each raw row exactly once per
-//!   seed, so the decode tax is paid once per seed, not per fixpoint round.
+//!   but the seed builder reads each raw row at most a few times per seed
+//!   and works on its local matrix after that, so the decode tax is paid
+//!   per seed, not per fixpoint round.
 //! * [`MmapStore`] — the on-disk `.kpx` format (written by `kplex convert`)
 //!   memory-mapped read-only, so a server can own graphs larger than its
 //!   RAM budget; rows are zero-copy out of the page cache.

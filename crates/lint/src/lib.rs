@@ -16,7 +16,7 @@
 //! | `ordering-comment` | every `Ordering::Relaxed` / `Ordering::SeqCst` site carries an `// ordering:` justification (same line or the comment block directly above) |
 //! | `protocol-exhaustive` | every `Request::` variant appears in `render_request`, in `parse_request`, and in the proptest strategy, so a new verb cannot ship without wire coverage |
 //! | `journal-exhaustive` | every journal `Record` variant appears in `parse_record` and in `replay`, so a new record tag cannot ship without crash-recovery handling |
-//! | `core-hygiene` | no `println!`/`eprintln!`/`dbg!`/`todo!`/`unimplemented!` in the enumeration kernel, and every `Instant::now` there carries a `// timing:` justification |
+//! | `core-hygiene` | no `println!`/`eprintln!`/`dbg!`/`todo!`/`unimplemented!` in the enumeration kernel or the seed loop and `prepare` that drive it (`driver.rs`, `enumerate.rs`), and every `Instant::now` there carries a `// timing:` justification |
 //! | `unwrap-allowlist` | non-test `.unwrap()` in `crates/service/src` only at explicitly allowlisted sites — everything else uses the [`OrderedMutex`] poisoning policy or propagates errors |
 //! | `store-abstraction` | no literal `CsrGraph` in non-test code of `crates/core/src` — the enumeration kernel speaks the `GraphStore` trait, so every backend (CSR, compressed, mmap) stays first-class |
 //! | `tenant-scoped` | in `crates/service/src/server.rs`, the shared jobs map is only locked inside the principal-scoped accessors (`job_for`/`jobs_for`), their documented runner-side escape hatch (`job_unscoped`), or at sites carrying a `// tenant:` justification — so a new handler cannot quietly serve one tenant's jobs to another |
@@ -719,8 +719,10 @@ pub fn check_unwraps(file: &SourceFile, allowlist: &[AllowedUnwrap]) -> Vec<Find
     out
 }
 
-/// The enumeration-kernel files `core-hygiene` applies to. `branch_ref.rs`
-/// is the retired reference implementation and is exempt; `stats.rs` and
+/// The enumeration-kernel files `core-hygiene` applies to, with the seed
+/// loop that `enumerate` and every engine worker run (`driver.rs`) and the
+/// `prepare` they start from (`enumerate.rs`). `branch_ref.rs` is the
+/// retired reference implementation and is exempt; `stats.rs` and
 /// `verify.rs` are reporting/QA surfaces where printing is legitimate.
 const KERNEL_FILES: &[&str] = &[
     "branch.rs",
@@ -731,7 +733,21 @@ const KERNEL_FILES: &[&str] = &[
     "subtask.rs",
     "reduce.rs",
     "sink.rs",
+    "driver.rs",
+    "enumerate.rs",
 ];
+
+/// `core-hygiene` over the [`KERNEL_FILES`] present under `root`.
+fn check_kernel_files(root: &Path) -> io::Result<Vec<Finding>> {
+    let mut out = Vec::new();
+    for name in KERNEL_FILES {
+        let rel = format!("crates/core/src/{name}");
+        if root.join(&rel).is_file() {
+            out.extend(check_core_hygiene(&scan(root, &rel)?));
+        }
+    }
+    Ok(out)
+}
 
 fn scan(root: &Path, rel: &str) -> io::Result<SourceFile> {
     let text = fs::read_to_string(root.join(rel))?;
@@ -818,12 +834,7 @@ pub fn run_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     }
 
     // core-hygiene over the kernel files.
-    for name in KERNEL_FILES {
-        let rel = format!("crates/core/src/{name}");
-        if root.join(&rel).is_file() {
-            findings.extend(check_core_hygiene(&scan(root, &rel)?));
-        }
-    }
+    findings.extend(check_kernel_files(root)?);
 
     // store-abstraction over every core source file.
     for rel in rust_files_under(root, "crates/core/src")? {
@@ -1137,6 +1148,23 @@ pub enum Request {
         assert_eq!(check_core_hygiene(&bad).len(), 1);
         let good = file("// timing: one syscall per STOP_STRIDE nodes.\nlet t = Instant::now();\n");
         assert!(check_core_hygiene(&good).is_empty());
+    }
+
+    #[test]
+    fn the_seed_loop_and_prepare_are_kernel_files() {
+        let root = std::env::temp_dir().join(format!("kplex-lint-kernel-{}", std::process::id()));
+        let src = root.join("crates/core/src");
+        fs::create_dir_all(&src).unwrap();
+        for name in ["driver.rs", "enumerate.rs"] {
+            fs::write(src.join(name), "fn pull() {\n    eprintln!(\"seed\");\n}\n").unwrap();
+        }
+        let hits = check_kernel_files(&root);
+        fs::remove_dir_all(&root).unwrap();
+        let files: Vec<String> = hits.unwrap().into_iter().map(|h| h.file).collect();
+        assert_eq!(
+            files,
+            ["crates/core/src/driver.rs", "crates/core/src/enumerate.rs"]
+        );
     }
 
     #[test]

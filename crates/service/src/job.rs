@@ -15,8 +15,9 @@
 
 use crate::protocol::JobId;
 use crate::sync::{OrderedCondvar, OrderedGuard, OrderedMutex, Rank};
-use kplex_core::{AlgoConfig, Params, SearchStats};
+use kplex_core::{Algorithm, Params, SearchStats};
 use kplex_graph::VertexId;
+use kplex_parallel::EngineOptions;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -95,7 +96,7 @@ pub struct JobSpec {
     pub params: Params,
     /// Engine worker threads.
     pub threads: usize,
-    /// Algorithm preset name (resolved per run via [`AlgoConfig::by_name`]).
+    /// Algorithm preset name (resolved per run via [`Algorithm::parse`]).
     pub algo: String,
     /// Stop after this many buffered results.
     pub limit: u64,
@@ -117,8 +118,20 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Resolves the algorithm preset.
-    pub fn config(&self) -> Option<AlgoConfig> {
-        AlgoConfig::by_name(&self.algo)
+    pub fn algorithm(&self) -> Option<Algorithm> {
+        Algorithm::parse(&self.algo)
+    }
+
+    /// The engine options this job runs `algo` with: its thread count and
+    /// τ, then [`EngineOptions::for_algorithm`], as the CLI and `repro`
+    /// apply it — FP builds every seed before any task runs, and FP and
+    /// ListPlex split no stragglers.
+    pub fn engine_options(&self, algo: Algorithm) -> EngineOptions {
+        EngineOptions {
+            timeout: self.tau,
+            ..EngineOptions::with_threads(self.threads)
+        }
+        .for_algorithm(algo)
     }
 }
 
@@ -639,6 +652,30 @@ mod tests {
             tau: None,
             store: kplex_graph::StoreKind::Csr,
             principal: None,
+        }
+    }
+
+    #[test]
+    fn engine_options_follow_the_algorithm() {
+        let tau = Some(Duration::from_micros(100));
+        for (algo, serial, timeout) in [
+            ("ours", false, tau),
+            ("d2k", false, tau),
+            ("listplex", false, None),
+            ("fp", true, None),
+        ] {
+            let spec = JobSpec {
+                threads: 3,
+                algo: algo.into(),
+                tau,
+                ..spec()
+            };
+            let opts = spec.engine_options(spec.algorithm().unwrap());
+            assert_eq!(
+                (opts.threads, opts.serial_construction, opts.timeout),
+                (3, serial, timeout),
+                "{algo}"
+            );
         }
     }
 

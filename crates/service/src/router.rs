@@ -38,6 +38,7 @@
 
 use crate::client::{Client, ClientError};
 use crate::protocol::{self, JobId, Request, SubmitArgs};
+use crate::server::{evict_terminal, RETAIN_TERMINAL_JOBS};
 use crate::sync::{OrderedMutex, Rank};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -200,6 +201,8 @@ struct Routed {
 
 struct RouterState {
     nodes: OrderedMutex<Vec<Node>>,
+    /// One record per routed job; `submit` bounds the records observed
+    /// terminal to kplexd's backlog.
     jobs: OrderedMutex<BTreeMap<JobId, Routed>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
@@ -1010,7 +1013,8 @@ fn submit(
     // ordering: routed-job ids only need uniqueness; the entry itself is
     // published under the jobs lock right below.
     let rid = state.next_id.fetch_add(1, Ordering::Relaxed);
-    state.jobs.lock().insert(
+    let mut jobs = state.jobs.lock();
+    jobs.insert(
         rid,
         Routed {
             backend: backend.clone(),
@@ -1022,6 +1026,12 @@ fn submit(
             attempts: 1,
         },
     );
+    // Keep kplexd's backlog of the records observed terminal; a dropped id
+    // answers `ERR no such job`, as a backend's evicted id does. A record
+    // never observed terminal stays: its job may still need failover.
+    evict_terminal(&mut *jobs, RETAIN_TERMINAL_JOBS, |j| {
+        matches!(j.last_state.as_str(), "done" | "cancelled" | "failed")
+    });
     Ok((rid, backend, placed))
 }
 

@@ -44,7 +44,7 @@ use crate::sync::{OrderedCondvar, OrderedMutex, Rank};
 use crate::{DeliveredHook, LoadHook};
 use kplex_core::{prepare, Params, PlexSink, SinkFlow};
 use kplex_graph::io;
-use kplex_parallel::{run_parallel_prepared, EngineOptions, SchedMetrics};
+use kplex_parallel::{run_parallel_prepared, SchedMetrics};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -62,8 +62,30 @@ const WAIT_TICK: Duration = Duration::from_millis(100);
 /// long-lived server's memory is bounded by live jobs + this backlog, not
 /// by its lifetime. Retention is also the resume window: `STREAM <id>
 /// FROM <seq>` of a terminal job works until the job is evicted, after
-/// which a resuming client gets `ERR no such job`.
-const RETAIN_TERMINAL_JOBS: usize = 64;
+/// which a resuming client gets `ERR no such job`. `kplexr` keeps the same
+/// backlog of its routed-job records.
+pub const RETAIN_TERMINAL_JOBS: usize = 64;
+
+/// Removes the oldest jobs of `jobs` that `terminal` accepts, keeping the
+/// newest `keep` of them. Both tiers call it when a job is submitted, so
+/// their memory is bounded by unfinished jobs plus the backlog.
+pub(crate) fn evict_terminal<J>(
+    jobs: &mut BTreeMap<JobId, J>,
+    keep: usize,
+    terminal: impl Fn(&J) -> bool,
+) {
+    // BTreeMap iterates in id = submission order.
+    let stale: Vec<JobId> = jobs
+        .iter()
+        .filter(|(_, j)| terminal(j))
+        .map(|(&id, _)| id)
+        .collect();
+    if stale.len() > keep {
+        for id in &stale[..stale.len() - keep] {
+            jobs.remove(id);
+        }
+    }
+}
 
 /// Default for [`ServerConfig::delivery_batch`]: streamed results per
 /// journaled `DELIVERED` offset record. The floor is also flushed whenever
@@ -1126,18 +1148,9 @@ fn submit(
             // retention is a global memory bound, not a per-tenant view.
             let mut jobs = state.jobs.lock();
             jobs.insert(id, job);
-            // Evict the oldest terminal jobs beyond the retention backlog
-            // (BTreeMap iterates in id = submission order).
-            let stale: Vec<JobId> = jobs
-                .iter()
-                .filter(|(_, j)| j.state().is_terminal())
-                .map(|(&jid, _)| jid)
-                .collect();
-            if stale.len() > state.retain_terminal {
-                for jid in &stale[..stale.len() - state.retain_terminal] {
-                    jobs.remove(jid);
-                }
-            }
+            evict_terminal(&mut *jobs, state.retain_terminal, |j| {
+                j.state().is_terminal()
+            });
         }
         queue
             .lane_mut(&lane_key, weight, max_running)
@@ -1342,7 +1355,7 @@ fn execute(state: &Arc<SharedState>, job: &Arc<Job>) {
 
 fn run_job(state: &Arc<SharedState>, job: &Job) {
     let spec = &job.spec;
-    let Some(cfg) = spec.config() else {
+    let Some(algo) = spec.algorithm() else {
         job.fail(format!("unknown algo {:?}", spec.algo));
         return;
     };
@@ -1373,8 +1386,8 @@ fn run_job(state: &Arc<SharedState>, job: &Job) {
         }
     };
 
-    let mut opts = EngineOptions::with_threads(spec.threads);
-    opts.timeout = spec.tau;
+    let cfg = algo.config();
+    let mut opts = spec.engine_options(algo);
     opts.stop_flag = Some(job.cancel.clone());
     opts.metrics = Some(state.sched_metrics.clone());
     // The engine runs on a fresh thread; this runner keeps the load and

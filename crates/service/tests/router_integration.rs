@@ -3,11 +3,13 @@
 //! across resubmissions, queued-job failover when a backend dies, the
 //! ADDNODE/DROPNODE admin surface, proactive health probing with flap
 //! suppression, active rebalancing of queued jobs on topology changes,
-//! tenancy enforced at the router edge, and prompt delivery to a live
-//! follower from both tiers. All listeners bind port 0.
+//! tenancy enforced at the router edge, prompt delivery to a live
+//! follower from both tiers, and a bounded backlog of finished jobs. All
+//! listeners bind port 0.
 
 use kplex_core::{enumerate_collect, enumerate_count, AlgoConfig, Params};
 use kplex_service::router::{pick_backend, routing_key};
+use kplex_service::server::RETAIN_TERMINAL_JOBS;
 use kplex_service::{
     Client, ClientError, PrincipalStore, ProbeConfig, Router, RouterConfig, Server, ServerConfig,
     ServerHandle, SubmitArgs,
@@ -950,6 +952,43 @@ fn a_live_follower_gets_each_result_without_batching_delay() {
             "{addr}: the first line arrived after {buffered} results were buffered"
         );
     }
+    router.shutdown();
+    backend.shutdown();
+}
+
+/// The router keeps the records of jobs it has seen finish only up to the
+/// backends' own backlog: `STATS jobs=` stays bounded however many jobs
+/// pass through, and the oldest id answers `ERR no such job`, as a
+/// backend's evicted id does.
+#[test]
+fn the_router_retains_a_bounded_backlog_of_finished_jobs() {
+    let backend = start_backend(1);
+    let router = start_router(&[backend.addr().to_string()]);
+    let mut c = Client::connect(router.addr()).expect("connect");
+    // q above jazz's degeneracy: an empty core, so each job is quick.
+    let mut args = SubmitArgs::dataset("jazz", 2, 40);
+    args.threads = Some(1);
+    let mut ids = Vec::new();
+    for _ in 0..RETAIN_TERMINAL_JOBS + 8 {
+        let id = c.submit(&args).expect("submit");
+        let end = c.stream(id, |_, _| {}).expect("stream");
+        assert_eq!(end.get("state").map(String::as_str), Some("done"));
+        ids.push(id);
+    }
+    let jobs: usize = c.stats().expect("stats")["jobs"].parse().expect("jobs=");
+    assert!(
+        jobs <= RETAIN_TERMINAL_JOBS + 1,
+        "{jobs} routed-job records after {} jobs",
+        ids.len()
+    );
+    match c.status(ids[0]) {
+        Err(ClientError::Remote(msg)) => assert_eq!(msg, format!("no such job {}", ids[0])),
+        other => panic!("the oldest finished job is still served: {other:?}"),
+    }
+    let newest = c
+        .status(*ids.last().unwrap())
+        .expect("the newest job is kept");
+    assert_eq!(newest.get("state").map(String::as_str), Some("done"));
     router.shutdown();
     backend.shutdown();
 }
